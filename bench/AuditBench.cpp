@@ -54,6 +54,10 @@ int main(int Argc, char **Argv) {
     }
   }
   SessionArgs SA = parseSessionArgs(Argc, Argv);
+  if (!SA.Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", SA.Error.c_str());
+    return 2;
+  }
   for (int I = 1; I < Argc; ++I) {
     if (SA.Consumed[static_cast<size_t>(I)])
       continue;

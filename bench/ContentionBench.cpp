@@ -1,11 +1,8 @@
-//===- bench/ContentionBench.cpp - Frontier contention: shared vs stealing --===//
+//===- bench/ContentionBench.cpp - Frontier contention: stealing vs pruning -===//
 //
-// The tentpole measurement for the sharded-frontier engine: the same
-// fork-heavy schedule trees drained by
-//   - the PR 1 baseline (one mutex+condvar frontier shared by all
-//     workers; `Shards = 1`),
-//   - the work-stealing sharded frontier (`Shards = 0`, one Chase-Lev
-//     style deque per worker), and
+// The same fork-heavy schedule trees drained by
+//   - the work-stealing frontier (one Chase-Lev style deque per worker;
+//     the baseline), and
 //   - stealing plus the cross-schedule seen-state table (`PruneSeen`),
 // each at 1/2/4/8 worker threads.  Every run's deduplicated leak set is
 // cross-checked against the sequential reference — a configuration that
@@ -78,11 +75,9 @@ Program forkLadder(unsigned Rungs) {
 }
 
 RunRecord runOne(const BenchCase &C, const char *Config, unsigned Threads,
-                 unsigned Shards, bool Prune,
-                 const std::set<uint64_t> &RefLeaks) {
+                 bool Prune, const std::set<uint64_t> &RefLeaks) {
   ExplorerOptions Opts = C.Mode;
   Opts.Threads = Threads;
-  Opts.Shards = Shards;
   Opts.PruneSeen = Prune;
   Machine M(C.Prog);
   auto T0 = std::chrono::steady_clock::now();
@@ -168,11 +163,11 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   std::fprintf(Out, "{\n  \"bench\": \"frontier-contention\",\n"
-                    "  \"baseline\": \"shared (Shards=1, the PR 1 single "
-                    "mutex-guarded frontier)\",\n  \"cases\": [\n");
+                    "  \"baseline\": \"steal (one work-stealing deque per "
+                    "worker, no pruning)\",\n  \"cases\": [\n");
 
   bool AllOk = true;
-  double Shared8 = 0, Steal8 = 0, StealPrune8 = 0;
+  double Steal8 = 0, StealPrune8 = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
     // Sequential reference leak set (the determinism anchor).
@@ -185,10 +180,8 @@ int main(int Argc, char **Argv) {
     std::printf("%s:\n", C.Id.c_str());
     std::vector<RunRecord> Runs;
     for (unsigned T : ThreadCounts) {
-      Runs.push_back(runOne(C, "shared", T, /*Shards=*/1, false, RefLeaks));
-      Runs.push_back(runOne(C, "steal", T, /*Shards=*/0, false, RefLeaks));
-      Runs.push_back(
-          runOne(C, "steal+prune", T, /*Shards=*/0, true, RefLeaks));
+      Runs.push_back(runOne(C, "steal", T, /*Prune=*/false, RefLeaks));
+      Runs.push_back(runOne(C, "steal+prune", T, /*Prune=*/true, RefLeaks));
     }
 
     std::vector<std::vector<std::string>> Table;
@@ -199,14 +192,8 @@ int main(int Argc, char **Argv) {
                        std::to_string(R.Pruned),
                        R.LeakSetOk ? "ok" : "MISMATCH"});
       AllOk &= R.LeakSetOk;
-      if (R.Threads == 8) {
-        if (R.Config == "shared")
-          Shared8 += R.Seconds;
-        else if (R.Config == "steal")
-          Steal8 += R.Seconds;
-        else
-          StealPrune8 += R.Seconds;
-      }
+      if (R.Threads == 8)
+        (R.Config == "steal" ? Steal8 : StealPrune8) += R.Seconds;
     }
     std::printf("%s\n",
                 renderTable({"frontier", "threads", "seconds", "steps",
@@ -220,21 +207,18 @@ int main(int Argc, char **Argv) {
     std::fprintf(Out, "    ]}%s\n", CI + 1 == Cases.size() ? "" : ",");
   }
 
-  double StealSpeedup = Steal8 > 0 ? Shared8 / Steal8 : 0;
-  double PruneSpeedup = StealPrune8 > 0 ? Shared8 / StealPrune8 : 0;
+  double PruneSpeedup = StealPrune8 > 0 ? Steal8 / StealPrune8 : 0;
   std::fprintf(Out,
-               "  ],\n  \"aggregate_8_threads\": {\"shared_seconds\": %.6f, "
-               "\"steal_seconds\": %.6f, \"steal_prune_seconds\": %.6f, "
-               "\"steal_speedup_vs_shared\": %.3f, "
-               "\"steal_prune_speedup_vs_shared\": %.3f},\n"
+               "  ],\n  \"aggregate_8_threads\": {\"steal_seconds\": %.6f, "
+               "\"steal_prune_seconds\": %.6f, "
+               "\"steal_prune_speedup_vs_steal\": %.3f},\n"
                "  \"all_leak_sets_match_reference\": %s\n}\n",
-               Shared8, Steal8, StealPrune8, StealSpeedup, PruneSpeedup,
-               AllOk ? "true" : "false");
+               Steal8, StealPrune8, PruneSpeedup, AllOk ? "true" : "false");
   std::fclose(Out);
 
-  std::printf("aggregate at 8 threads: shared %.3fs, steal %.3fs (%.2fx), "
-              "steal+prune %.3fs (%.2fx)\n",
-              Shared8, Steal8, StealSpeedup, StealPrune8, PruneSpeedup);
+  std::printf("aggregate at 8 threads: steal %.3fs, steal+prune %.3fs "
+              "(%.2fx)\n",
+              Steal8, StealPrune8, PruneSpeedup);
   std::printf("recorded %s\n", OutPath);
   if (!AllOk) {
     std::printf("LEAK SET MISMATCH against the sequential reference\n");

@@ -144,17 +144,18 @@ BENCHMARK(BM_ExploreThreadScalingNoFwd)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SnapshotPolicy(benchmark::State &State) {
-  // Copy (COW configurations) vs Replay (prefix-only nodes) fork cost.
+  // Copy (COW configurations) vs Hybrid (prefix + shared checkpoint
+  // nodes, default interval) fork cost.
   SuiteCase C = meeFact();
   Machine M(C.Prog);
   for (auto _ : State) {
     ExplorerOptions Opts = v4Mode();
-    Opts.Snapshots = State.range(0) ? SnapshotPolicy::Replay
+    Opts.Snapshots = State.range(0) ? SnapshotPolicy::Hybrid
                                     : SnapshotPolicy::Copy;
     ExploreResult R = explore(M, Configuration::initial(C.Prog), Opts);
     benchmark::DoNotOptimize(R.Leaks.size());
   }
-  State.SetLabel(State.range(0) ? "replay" : "copy");
+  State.SetLabel(State.range(0) ? "hybrid" : "copy");
 }
 BENCHMARK(BM_SnapshotPolicy)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -3,15 +3,15 @@
 // The measurement behind ExplorerOptions::CheckpointInterval's default:
 // the same schedule trees explored under
 //   - SnapshotPolicy::Copy    (every fork stores its configuration),
-//   - SnapshotPolicy::Replay  (prefix-only nodes, replay from the root),
 //   - SnapshotPolicy::Hybrid  at K in {1, 2, 4, 8, 16, 32, 64}
 // on one thread, so every counter is deterministic.  For each run the
 // bench records wall-clock, TotalSteps (identical across policies by the
 // engine's contract — a mismatch fails the bench), ReplaySteps (the CPU
 // the policy pays re-deriving states) and Checkpoints (the frontier
 // memory it pays holding full configurations).  Copy is the memory
-// ceiling and CPU floor; Replay the reverse; the sweep shows where the
-// hybrid stops paying replay without approaching Copy's footprint.
+// ceiling and CPU floor; large K approaches the reverse (whole-prefix
+// replay from the root); the sweep shows where the hybrid stops paying
+// replay without approaching Copy's footprint.
 //
 // Results are printed as a table and recorded to BENCH_SNAPSHOT.json
 // (override with --out FILE).  `--quick` runs a reduced matrix for CI
@@ -46,7 +46,7 @@ struct BenchCase {
 
 struct RunRecord {
   std::string Policy;
-  unsigned K = 0; // 0 for Copy/Replay.
+  unsigned K = 0; // 0 for Copy.
   double Seconds = 0;
   uint64_t Steps = 0;
   uint64_t ReplaySteps = 0;
@@ -190,8 +190,6 @@ int main(int Argc, char **Argv) {
     Runs.push_back(
         runOne(C, "copy", SnapshotPolicy::Copy, 0, RefLeaks,
                RefRun.TotalSteps));
-    Runs.push_back(runOne(C, "replay", SnapshotPolicy::Replay, 0, RefLeaks,
-                          RefRun.TotalSteps));
     for (unsigned K : Ks)
       Runs.push_back(runOne(C, "hybrid", SnapshotPolicy::Hybrid, K,
                             RefLeaks, RefRun.TotalSteps));

@@ -8,13 +8,12 @@
 //            [--indirect-targets a,b,..] [--rsb-targets a,b,..]
 //            [--fence-branches] [--fence-stores] [--first]
 //            [--mitigate fence|retpoline|minimal-fence]
-//            [--replay-snapshots] [--stats] [--validate] [--print]
-//            [session flags: --threads, --shards, --cache-dir,
-//             --workers, --minimize-*, --prove-sps, ... (--help)]
+//            [--stats] [--validate] [--print]
+//            [session flags: --threads, --cache-dir, --workers,
+//             --minimize-*, --prove-sps, ... (--help)]
 //
 // Checks run through the engine layer (CheckSession).  The session-level
-// knobs — thread budget, frontier sharding, snapshot policy, witness
-// minimization, the SPS proof backend, the persistent result cache
+// knobs — thread budget, snapshot policy, witness minimization, the SPS proof backend, the persistent result cache
 // (--cache-dir) and the worker-process pool (--workers) — all parse
 // through the shared declarative flag table (engine/SessionArgs.h); this
 // driver only adds the per-file attacker knobs above.  With --cache-dir,
@@ -78,7 +77,6 @@ void usage(const char *Prog) {
       "                         seen-table occupancy/probe lengths, fork-\n"
       "                         filter verdicts, convergence prunes, and\n"
       "                         the distinct-state-per-depth histogram\n"
-      "  --replay-snapshots     prefix-replay fork checkpoints\n"
       "  --validate             differentially confirm each witness\n"
       "  --print                echo the (possibly transformed) program\n"
       "session flags (shared with every engine driver):\n%s",
@@ -129,10 +127,14 @@ int main(int Argc, char **Argv) {
   }
   Program Prog = std::move(*Parsed.Prog);
 
-  // Session flags (thread budget, sharding, snapshot policy, passes,
-  // cache, workers) parse through the shared table; the loop below only
-  // handles what the table left unconsumed.
+  // Session flags (thread budget, snapshot policy, passes, cache,
+  // workers) parse through the shared table; the loop below only handles
+  // what the table left unconsumed.
   SessionArgs SA = parseSessionArgs(Argc, Argv);
+  if (!SA.Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", SA.Error.c_str());
+    return 2;
+  }
   ExplorerOptions Opts = SA.Opts.DefaultOpts;
   bool SeqOnly = false, Print = false, Validate = false;
   const char *IndirectList = nullptr, *RsbList = nullptr;
@@ -175,8 +177,6 @@ int main(int Argc, char **Argv) {
       Opts.StopAtFirstLeak = true;
     else if (!std::strcmp(Argv[I], "--stats"))
       Opts.CollectStats = true;
-    else if (!std::strcmp(Argv[I], "--replay-snapshots"))
-      Opts.Snapshots = SnapshotPolicy::Replay;
     else if (!std::strcmp(Argv[I], "--validate"))
       Validate = true;
     else if (!std::strcmp(Argv[I], "--print"))

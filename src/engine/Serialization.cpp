@@ -576,7 +576,6 @@ void sct::writeExplorerOptions(ByteWriter &W, const ExplorerOptions &O) {
   W.u32(O.Threads);
   W.u8(static_cast<uint8_t>(O.Snapshots));
   W.u32(O.CheckpointInterval);
-  W.u32(O.Shards);
   W.b(O.RecordCheckpointChain);
   W.b(O.PruneSeen);
   W.b(O.ExportSeenStates);
@@ -610,7 +609,6 @@ bool sct::readExplorerOptions(ByteReader &R, ExplorerOptions &O) {
     return false;
   O.Snapshots = static_cast<SnapshotPolicy>(Snap);
   O.CheckpointInterval = R.u32();
-  O.Shards = R.u32();
   O.RecordCheckpointChain = R.b();
   O.PruneSeen = R.b();
   O.ExportSeenStates = R.b();
@@ -723,14 +721,13 @@ uint64_t sct::programHash(const Program &P) {
 uint64_t sct::optionsFingerprint(const ExplorerOptions &EOpts,
                                  const MachineOptions &MOpts,
                                  const PassConfig &Passes) {
-  // Normalize the execution knobs the determinism contract proves
-  // irrelevant to the verdict: thread count and frontier sharding.
-  // Everything else — budgets, attacker power, snapshot policy, pass
-  // configuration — is behavior-affecting and must stay in (the cache-key
-  // completeness invariant, docs/ARCHITECTURE.md).
+  // Normalize the execution knob the determinism contract proves
+  // irrelevant to the verdict: the thread count.  Everything else —
+  // budgets, attacker power, snapshot policy, pass configuration — is
+  // behavior-affecting and must stay in (the cache-key completeness
+  // invariant, docs/ARCHITECTURE.md).
   ExplorerOptions Norm = EOpts;
   Norm.Threads = 0;
-  Norm.Shards = 0;
   ByteWriter W;
   W.u32(SerializationFormatVersion);
   writeExplorerOptions(W, Norm);

@@ -2,20 +2,34 @@
 
 #include "engine/SessionArgs.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 using namespace sct;
 
 namespace {
 
-unsigned asUnsigned(const char *V) {
-  return static_cast<unsigned>(std::atoi(V));
-}
-uint64_t asU64(const char *V) {
-  return static_cast<uint64_t>(std::atoll(V));
+/// Parses all of \p V as a T into \p Out.  Rejects the empty string,
+/// signs on unsigned types, trailing characters, and out-of-range values
+/// (std::from_chars reports those instead of wrapping); floating values
+/// (durations) must also be finite and non-negative.
+template <typename T> bool parseNumber(const char *V, T &Out) {
+  const char *End = V + std::strlen(V);
+  T Tmp{};
+  auto [Ptr, Ec] = std::from_chars(V, End, Tmp);
+  if (V == End || Ec != std::errc() || Ptr != End)
+    return false;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(Tmp) || Tmp < 0)
+      return false;
+  Out = Tmp;
+  return true;
 }
 
 // The one place a session flag is declared.  Rows parse *and* document:
@@ -23,73 +37,94 @@ uint64_t asU64(const char *V) {
 // Apply.  Keep Doc to one line — it becomes one help row.
 constexpr SessionFlag Flags[] = {
     {"--threads", "N", "engine worker threads (default: hardware concurrency)",
-     [](SessionOptions &O, const char *V) { O.Threads = asUnsigned(V); }},
-    {"--shards", "N",
-     "frontier shards (default: one per worker; 1 = shared frontier)",
      [](SessionOptions &O, const char *V) {
-       O.DefaultOpts.Shards = asUnsigned(V);
+       return parseNumber(V, O.Threads);
      }},
     {"--prune-seen", nullptr, "enable seen-state pruning (the default)",
-     [](SessionOptions &O, const char *) { O.DefaultOpts.PruneSeen = true; }},
+     [](SessionOptions &O, const char *) {
+       O.DefaultOpts.PruneSeen = true;
+       return true;
+     }},
     {"--no-prune-seen", nullptr, "disable cross-schedule seen-state pruning",
-     [](SessionOptions &O, const char *) { O.DefaultOpts.PruneSeen = false; }},
+     [](SessionOptions &O, const char *) {
+       O.DefaultOpts.PruneSeen = false;
+       return true;
+     }},
     {"--checkpoint-interval", "K",
      "hybrid snapshots: shared checkpoint every K directives",
      [](SessionOptions &O, const char *V) {
+       if (!parseNumber(V, O.DefaultOpts.CheckpointInterval))
+         return false;
        O.DefaultOpts.Snapshots = SnapshotPolicy::Hybrid;
-       O.DefaultOpts.CheckpointInterval = asUnsigned(V);
+       return true;
      }},
     {"--minimize-witnesses", nullptr,
      "delta-debug witnesses to minimal attack schedules",
      [](SessionOptions &O, const char *) {
        O.Passes.MinimizeWitnesses = true;
+       return true;
      }},
     {"--minimize-budget", "N", "replays spent minimizing each witness",
      [](SessionOptions &O, const char *V) {
-       O.Passes.Minimize.MaxReplays = asU64(V);
+       return parseNumber(V, O.Passes.Minimize.MaxReplays);
      }},
     {"--minimize-threads", "N",
      "minimization worker threads (0 = the check's frontier share)",
      [](SessionOptions &O, const char *V) {
-       O.Passes.Minimize.Threads = asUnsigned(V);
+       return parseNumber(V, O.Passes.Minimize.Threads);
      }},
     {"--no-slice-excursions", nullptr, "disable the excursion slice pass",
      [](SessionOptions &O, const char *) {
        O.Passes.Minimize.SliceExcursions = false;
+       return true;
      }},
     {"--no-slice-polish", nullptr, "disable the slice-polish basin hop",
      [](SessionOptions &O, const char *) {
        O.Passes.Minimize.SlicePolish = false;
+       return true;
      }},
     {"--no-seed-replays", nullptr,
      "replay every candidate from the initial configuration",
      [](SessionOptions &O, const char *) {
        O.Passes.Minimize.SeedReplays = false;
+       return true;
      }},
     {"--no-suffix-converge", nullptr,
      "disable suffix-convergence rejoins in minimization",
      [](SessionOptions &O, const char *) {
        O.Passes.Minimize.SuffixConverge = false;
+       return true;
      }},
     {"--prove-sps", nullptr,
      "try the SPS proof backend first; conclusive verdicts skip exploring",
-     [](SessionOptions &O, const char *) { O.Passes.ProveSps = true; }},
+     [](SessionOptions &O, const char *) {
+       O.Passes.ProveSps = true;
+       return true;
+     }},
     {"--sps-max-tapes", "N", "oracle-tape budget for --prove-sps",
      [](SessionOptions &O, const char *V) {
-       O.Passes.Sps.MaxTapes = asU64(V);
+       return parseNumber(V, O.Passes.Sps.MaxTapes);
      }},
     {"--cache-dir", "DIR",
      "persistent result cache: serve unchanged checks from DIR",
-     [](SessionOptions &O, const char *V) { O.CacheDir = V; }},
+     [](SessionOptions &O, const char *V) {
+       O.CacheDir = V;
+       return true;
+     }},
     {"--workers", "N", "dispatch checkMany to N sctworker processes",
-     [](SessionOptions &O, const char *V) { O.Workers = asUnsigned(V); }},
+     [](SessionOptions &O, const char *V) {
+       return parseNumber(V, O.Workers);
+     }},
     {"--worker-bin", "PATH",
      "worker binary (default: sctworker beside this executable)",
-     [](SessionOptions &O, const char *V) { O.WorkerBinary = V; }},
+     [](SessionOptions &O, const char *V) {
+       O.WorkerBinary = V;
+       return true;
+     }},
     {"--worker-timeout", "SEC",
      "kill a worker past SEC seconds on one request; re-run in-process",
      [](SessionOptions &O, const char *V) {
-       O.WorkerTimeoutSec = std::atof(V);
+       return parseNumber(V, O.WorkerTimeoutSec);
      }},
 };
 
@@ -110,7 +145,9 @@ SessionArgs sct::parseSessionArgs(int Argc, char **Argv) {
           break; // Trailing flag without its value: leave it unconsumed.
         Parsed.Consumed[static_cast<size_t>(I)] = true;
         ++I;
-        F.Apply(Parsed.Opts, Argv[I]);
+        if (!F.Apply(Parsed.Opts, Argv[I]) && Parsed.Error.empty())
+          Parsed.Error = std::string("invalid value '") + Argv[I] +
+                         "' for " + F.Name + " " + F.Arg;
       } else {
         F.Apply(Parsed.Opts, nullptr);
       }
@@ -142,5 +179,10 @@ std::string sct::sessionFlagsHelp() {
 }
 
 SessionOptions sct::sessionOptionsFromArgs(int Argc, char **Argv) {
-  return parseSessionArgs(Argc, Argv).Opts;
+  SessionArgs Parsed = parseSessionArgs(Argc, Argv);
+  if (!Parsed.Error.empty()) {
+    std::fprintf(stderr, "error: %s\n", Parsed.Error.c_str());
+    std::exit(2);
+  }
+  return Parsed.Opts;
 }

@@ -22,6 +22,7 @@
 #include "engine/CheckSession.h"
 
 #include <span>
+#include <string>
 #include <vector>
 
 namespace sct {
@@ -36,8 +37,9 @@ struct SessionFlag {
   /// One-line help text.
   const char *Doc;
   /// Applies the flag: \p Value is the following argv word when `Arg` is
-  /// set, null otherwise.
-  void (*Apply)(SessionOptions &Opts, const char *Value);
+  /// set, null otherwise.  Returns false (leaving \p Opts untouched) when
+  /// \p Value is malformed.
+  bool (*Apply)(SessionOptions &Opts, const char *Value);
 };
 
 /// The table itself, for drivers that want to iterate or extend docs.
@@ -50,11 +52,17 @@ struct SessionArgs {
   /// — is never consumed).  A driver with its own flags walks argv once
   /// more and treats any unconsumed slot as its own.
   std::vector<bool> Consumed;
+  /// Empty unless a flag's value was malformed: then one line naming the
+  /// first such flag and its value (numeric values must be plain
+  /// in-range numbers — no sign, no trailing characters).  Drivers print
+  /// it and exit 2.
+  std::string Error;
 };
 
 /// Parses every table flag out of argv into fresh SessionOptions
 /// (thread budget defaulted to the hardware concurrency), marking the
-/// consumed slots.  Unknown arguments are left untouched for the driver.
+/// consumed slots.  Unknown arguments are left untouched for the driver;
+/// malformed values are reported through `SessionArgs::Error`.
 SessionArgs parseSessionArgs(int Argc, char **Argv);
 
 /// Help text generated from the table: one aligned "  --flag ARG  doc"

@@ -3,21 +3,17 @@
 // The exploration engine: an explicit work queue of ExploreNodes (schedule
 // prefix + snapshot) drained by worker threads.  A worker pops a node,
 // materialises its configuration (moving the stored snapshot out, or
-// replaying directives — the whole prefix from the initial configuration
-// under SnapshotPolicy::Replay, the tail past a shared checkpoint under
-// SnapshotPolicy::Hybrid), and runs the path forward.  Decision points (Definition B.18's schedule-set
-// forks) do not recurse: the fork's probed configuration becomes a new
-// node, the worker switches to the first fork and pushes the rest plus its
-// own continuation, which for a single worker reproduces the legacy
-// depth-first order exactly.
+// replaying the directives past the node's shared checkpoint under
+// SnapshotPolicy::Hybrid), and runs the path forward.  Decision points
+// (Definition B.18's schedule-set forks) do not recurse: the fork's
+// probed configuration becomes a new node, the worker switches to the
+// first fork and pushes the rest plus its own continuation, which for a
+// single worker reproduces the legacy depth-first order exactly.
 //
-// Three drain modes share the path-running code:
+// Two drain modes share the path-running code:
 //  - Threads <= 1: the frontier is a plain vector drained LIFO on the
 //    calling thread — the deterministic legacy order.
-//  - Threads > 1, Shards == 1: one mutex+condvar-guarded frontier shared
-//    by all workers (the pre-sharding engine, kept as the contention
-//    baseline for bench/ContentionBench.cpp).
-//  - Threads > 1 otherwise: per-worker work-stealing deques
+//  - Threads > 1: per-worker work-stealing deques
 //    (sched/WorkDeque.h); owners pop LIFO, thieves steal the oldest half
 //    of a random victim.  Termination is a global in-flight count: nodes
 //    queued plus paths running; when it hits zero no work exists or can
@@ -39,10 +35,8 @@
 #include "sched/SeenStates.h"
 #include "sched/WorkDeque.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -143,18 +137,18 @@ void flattenFrom(const SchedChain *Prefix, const Schedule &Suffix,
 
 /// One frontier entry: a point in the schedule tree still to be explored.
 struct ExploreNode {
-  /// The configuration at this point (engaged under SnapshotPolicy::Copy).
+  /// The configuration at this point (engaged under SnapshotPolicy::Copy,
+  /// and for the root node).
   std::optional<Configuration> Snap;
   /// Hybrid snapshots: the nearest published checkpoint, shared between
   /// every node forked from the same stretch of path; Base->Len of
   /// Sched's directives are already applied in it.  Materialization
-  /// replays only Sched[Base->Len..] from Base->Config.  Null under
-  /// Copy/Replay (Replay re-derives from the initial configuration).
+  /// replays only Sched[Base->Len..] from Base->Config.  Null under Copy.
   std::shared_ptr<const Checkpoint> Base;
   /// Directive prefix reaching this point (always kept — it is both the
-  /// witness prefix and, under SnapshotPolicy::Replay/Hybrid, the
-  /// (remainder of the) snapshot): the sealed chain up to the last fork
-  /// point plus the directives issued since.
+  /// witness prefix and, under SnapshotPolicy::Hybrid, the remainder of
+  /// the snapshot): the sealed chain up to the last fork point plus the
+  /// directives issued since.
   const SchedChain *Prefix = nullptr;
   Schedule Suffix;
   /// Steps spent on this path (per-schedule budget accounting).
@@ -170,14 +164,7 @@ class Engine {
 public:
   Engine(const Machine &M, const ExplorerOptions &Opts, Configuration Init)
       : M(M), P(M.program()), Opts(Opts), Init(std::move(Init)),
-        NumWorkers(Opts.Threads > 1 ? Opts.Threads : 1),
-        Stealing(NumWorkers > 1 && Opts.Shards != 1),
-        // Deques beyond the worker count could never be pushed to
-        // (homeOf maps workers round-robin), so extra shards would only
-        // add dead steal probes: clamp to the worker count.
-        Deques(Stealing ? std::min(Opts.Shards ? Opts.Shards : NumWorkers,
-                                   NumWorkers)
-                        : 1),
+        NumWorkers(Opts.Threads > 1 ? Opts.Threads : 1), Deques(NumWorkers),
         Workers(NumWorkers) {
     if (Opts.ExportSeenStates)
       Export = std::make_shared<SeenStateExport>();
@@ -187,12 +174,7 @@ public:
     {
       ExploreNode Root;
       Root.Snap = Init;
-      if (Stealing) {
-        InFlight.fetch_add(1);
-        Deques.push(0, std::move(Root));
-      } else {
-        Frontier.push_back(std::move(Root));
-      }
+      push(std::move(Root), 0);
     }
     if (NumWorkers == 1) {
       drainSequential();
@@ -200,12 +182,7 @@ public:
       std::vector<std::thread> Pool;
       Pool.reserve(NumWorkers);
       for (unsigned Id = 0; Id < NumWorkers; ++Id)
-        Pool.emplace_back([this, Id] {
-          if (Stealing)
-            workerLoopStealing(Id);
-          else
-            workerLoopShared(Id);
-        });
+        Pool.emplace_back([this, Id] { workerLoopStealing(Id); });
       for (std::thread &T : Pool)
         T.join();
     }
@@ -264,20 +241,16 @@ private:
   const ExplorerOptions &Opts;
   const Configuration Init;
   const unsigned NumWorkers;
-  const bool Stealing;
 
-  // Sharded frontier (work-stealing mode).
+  // Sharded frontier (Threads > 1): one work-stealing deque per worker.
   StealQueue<ExploreNode> Deques;
   /// Nodes queued in any deque plus paths currently being run.  Zero
   /// means exploration is complete: no node exists and no running path
   /// can create one.
   std::atomic<uint64_t> InFlight{0};
 
-  // Single frontier, shared under QMu (sequential + shared modes).
+  // Sequential frontier (Threads <= 1), drained on the calling thread.
   std::vector<ExploreNode> Frontier;
-  std::mutex QMu;
-  std::condition_variable QCv;
-  unsigned Busy = 0;
 
   // Shared tallies and stop signals.
   std::atomic<uint64_t> TotalSteps{0};
@@ -368,8 +341,6 @@ private:
     case SnapshotPolicy::Copy:
       N.Snap = std::move(Pth.C);
       break;
-    case SnapshotPolicy::Replay:
-      break; // Prefix-only; materialize replays from Init.
     case SnapshotPolicy::Hybrid:
       // Share the path's checkpoint: materialization replays only the
       // directives issued since it was published (bounded by the
@@ -381,28 +352,25 @@ private:
     N.Suffix = std::move(Pth.Suffix);
     N.PathSteps = Pth.Steps;
     N.Claims = std::move(Pth.Claims);
-    unsigned WorkerId = Pth.WorkerId;
+    push(std::move(N), Pth.WorkerId);
+  }
+
+  /// Queues \p N on the sequential frontier, or on worker \p WorkerId's
+  /// deque when stealing.
+  void push(ExploreNode &&N, unsigned WorkerId) {
     if (NumWorkers == 1) {
       Frontier.push_back(std::move(N));
       return;
     }
-    if (Stealing) {
-      InFlight.fetch_add(1);
-      Deques.push(Deques.homeOf(WorkerId), std::move(N));
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> L(QMu);
-      Frontier.push_back(std::move(N));
-    }
-    QCv.notify_one();
+    InFlight.fetch_add(1);
+    Deques.push(WorkerId, std::move(N));
   }
 
-  /// Reconstructs the node's path.  Replay re-derives the configuration
-  /// by re-issuing directives — from the initial configuration under
-  /// SnapshotPolicy::Replay, from the node's shared checkpoint under
-  /// Hybrid.  Replayed steps do not count toward budgets and do not
-  /// re-record leaks (they were accounted when first taken).
+  /// Reconstructs the node's path: moves a stored snapshot out, or
+  /// (Hybrid) re-derives the configuration by re-issuing the directives
+  /// past the node's shared checkpoint.  Replayed steps do not count
+  /// toward budgets and do not re-record leaks (they were accounted when
+  /// first taken).
   Path materialize(ExploreNode &&N, unsigned WorkerId) {
     Path Pth;
     Pth.WorkerId = WorkerId;
@@ -415,11 +383,14 @@ private:
       Pth.Suffix = std::move(N.Suffix);
       return Pth;
     }
-    size_t BaseLen = N.Base ? N.Base->Len : 0;
-    Pth.C = N.Base ? N.Base->Config : Init; // COW: O(1) until a side writes.
-    Pth.Base = std::move(N.Base);
+    // A Hybrid path publishes its first checkpoint before it can fork
+    // (refreshCheckpoint runs at the top of every runPath round), so
+    // every node it queues carries one.
+    assert(N.Base && "Hybrid node without a checkpoint");
+    Pth.C = N.Base->Config; // COW: O(1) until a side writes.
     Schedule Tail;
-    flattenFrom(N.Prefix, N.Suffix, BaseLen, Tail);
+    flattenFrom(N.Prefix, N.Suffix, N.Base->Len, Tail);
+    Pth.Base = std::move(N.Base);
     for (const Directive &D : Tail) {
       [[maybe_unused]] auto Out = M.step(Pth.C, D);
       assert(Out && "replay of an explored prefix cannot go stuck");
@@ -453,12 +424,8 @@ private:
     if (Truncated)
       TruncatedFlag.store(true, std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
-    if (NumWorkers > 1 && !Stealing) {
-      { std::lock_guard<std::mutex> L(QMu); }
-      QCv.notify_all();
-    }
-    // Stealing workers poll StopFlag between pops and inside runPath; no
-    // wakeup is needed (idle workers spin on yield/short sleeps).
+    // Workers poll StopFlag between pops and inside runPath; no wakeup is
+    // needed (idle workers spin on yield/short sleeps).
   }
 
   bool stopped() const { return StopFlag.load(std::memory_order_relaxed); }
@@ -474,50 +441,19 @@ private:
     }
   }
 
-  /// The shared-frontier baseline: one mutex, one condvar, every pop and
-  /// push contends on QMu and sleepers wake through QCv.
-  void workerLoopShared(unsigned Id) {
-    std::unique_lock<std::mutex> L(QMu);
-    for (;;) {
-      if (stopped()) {
-        QCv.notify_all();
-        return;
-      }
-      if (!Frontier.empty()) {
-        ExploreNode N = std::move(Frontier.back());
-        Frontier.pop_back();
-        ++Busy;
-        L.unlock();
-        Path Pth = materialize(std::move(N), Id);
-        runPath(Pth);
-        L.lock();
-        --Busy;
-        if (Frontier.empty() && Busy == 0) {
-          QCv.notify_all();
-          return;
-        }
-        continue;
-      }
-      if (Busy == 0)
-        return;
-      QCv.wait(L);
-    }
-  }
-
   /// The work-stealing drain: pop the own deque LIFO; when dry, steal the
   /// oldest half of a random victim; when everything is dry, exit once
   /// the in-flight count proves no path can produce new nodes.
   void workerLoopStealing(unsigned Id) {
     std::minstd_rand Rng(Id * 0x9e3779b9u + 0x2545f491u);
-    unsigned Home = Deques.homeOf(Id);
     unsigned IdleRounds = 0;
     for (;;) {
       if (stopped())
         return;
       ExploreNode N;
-      bool Got = Deques.tryPop(Home, N);
+      bool Got = Deques.tryPop(Id, N);
       if (!Got) {
-        size_t Taken = Deques.trySteal(Home, static_cast<unsigned>(Rng()), N);
+        size_t Taken = Deques.trySteal(Id, static_cast<unsigned>(Rng()), N);
         if (Taken) {
           Steals.fetch_add(1, std::memory_order_relaxed);
           Got = true;

@@ -33,9 +33,7 @@
 /// With `Threads = N > 1` the frontier is *sharded*: each worker owns a
 /// Chase-Lev-style deque (sched/WorkDeque.h) it pushes and pops LIFO, and
 /// steals the oldest half of a random victim's deque when its own runs
-/// dry.  `Shards = 1` selects the previous single mutex-guarded frontier,
-/// kept as the contention baseline (bench/ContentionBench.cpp measures
-/// the difference).  Optionally a cross-schedule seen-state table
+/// dry.  Optionally a cross-schedule seen-state table
 /// (`PruneSeen`, sched/SeenStates.h) keyed on `Configuration::hash()`
 /// drops frontier candidates whose configuration was already visited on
 /// any schedule — v4-mode hazard re-executions converge onto previously
@@ -43,17 +41,16 @@
 /// subtrees.
 ///
 /// Forks snapshot by copying the configuration (`SnapshotPolicy::Copy`;
-/// cheap now that memory is copy-on-write), by storing only the directive
-/// prefix and re-deriving the configuration by replay
-/// (`SnapshotPolicy::Replay`) — a `Schedule` is already a replayable
-/// witness, so the prefix alone determines the state — or by the hybrid
-/// (`SnapshotPolicy::Hybrid`): a running path publishes a shared
-/// checkpoint of its configuration every `CheckpointInterval` directives,
-/// forked nodes store only the prefix plus a reference to the nearest
-/// checkpoint, and materialization replays at most ~CheckpointInterval
-/// directives from that checkpoint.  Replay cost is bounded by K while
-/// frontier memory stays near `Replay` levels (siblings share one
-/// checkpoint; see `ExploreResult::Checkpoints`/`ReplaySteps`).
+/// cheap now that memory is copy-on-write) or by prefix replay
+/// (`SnapshotPolicy::Hybrid`): a `Schedule` is already a replayable
+/// witness, so a running path publishes a shared checkpoint of its
+/// configuration every `CheckpointInterval` directives, forked nodes store
+/// only the prefix plus a reference to the nearest checkpoint, and
+/// materialization replays at most ~CheckpointInterval directives from
+/// that checkpoint.  Replay cost is bounded by K while siblings share one
+/// checkpoint (see `ExploreResult::Checkpoints`/`ReplaySteps`); an
+/// interval no path reaches replays every node's whole prefix from the
+/// root checkpoint.
 ///
 /// **Determinism contract.**  `Threads <= 1` drains the frontier on the
 /// calling thread in the legacy depth-first order: schedules complete in
@@ -61,7 +58,7 @@
 /// run-to-run (with `PruneSeen` on — the default — still deterministic:
 /// the same duplicates are pruned at the same points).  `Threads = N > 1` drains
 /// in a racy order but produces the **identical deduplicated leak set**
-/// for any N, Shards value, and snapshot policy: schedule-tree forks are
+/// for any N and snapshot policy: schedule-tree forks are
 /// independent of drain order, per-worker leak buffers merge through
 /// `LeakRecord::key()`, and the MaxLeaks budget counts globally-unique
 /// keys.  With `PruneSeen` off, `TotalSteps`/`SchedulesCompleted` are
@@ -114,12 +111,7 @@ enum class SnapshotPolicy : unsigned char {
   /// Store the forked configuration itself.  Copy-on-write memory makes
   /// this cheap in space until a side writes; it is the fastest policy.
   Copy,
-  /// Store only the directive prefix; the worker that picks the node up
-  /// re-derives the configuration by replaying the prefix from the
-  /// initial configuration.  Trades CPU for near-zero frontier memory —
-  /// useful when the frontier grows to millions of nodes.
-  Replay,
-  /// The replay-snapshot hybrid: a running path publishes a shared,
+  /// Prefix replay from shared checkpoints: a running path publishes a shared,
   /// immutable checkpoint of its configuration every
   /// `ExplorerOptions::CheckpointInterval` directives; forked nodes store
   /// the directive prefix plus a reference to the nearest checkpoint and
@@ -185,17 +177,10 @@ struct ExplorerOptions {
   /// once it has run this many directives past the previous one, so
   /// materializing any frontier node replays at most ~CheckpointInterval
   /// directives.  Smaller = more checkpoint memory, less replay CPU;
-  /// 0 is treated as 1 (every node checkpoints, ≈ Copy with sharing).
+  /// 0 is treated as 1 (every node checkpoints, ≈ Copy with sharing) and
+  /// UINT_MAX replays every node's whole prefix from the root checkpoint.
   /// The default follows the committed BENCH_SNAPSHOT.json K-sweep.
   unsigned CheckpointInterval = 16;
-  /// Frontier sharding (only meaningful when Threads > 1).  0 (default):
-  /// one work-stealing deque per worker.  1: the single mutex-guarded
-  /// shared frontier — the pre-sharding engine, kept as a contention
-  /// baseline.  N > 1: N deques with workers mapped round-robin, so
-  /// fewer shards than workers makes groups of workers share a deque;
-  /// values above Threads are clamped (a deque no worker calls home
-  /// could never receive work).
-  unsigned Shards = 0;
   /// Hybrid snapshots only: link every published checkpoint to the one it
   /// superseded and hand the chain head to each `LeakRecord` (see
   /// `Checkpoint::Prev`).  Off by default — the chain keeps every
@@ -341,7 +326,7 @@ struct ExploreResult {
   /// with work-stealing; each may move many nodes at once).
   uint64_t Steals = 0;
   /// Directives re-executed while materializing frontier nodes under
-  /// Replay/Hybrid snapshots.  Replayed steps never touch budgets, leak
+  /// Hybrid snapshots.  Replayed steps never touch budgets, leak
   /// recording, or TotalSteps — they re-derive state already accounted.
   uint64_t ReplaySteps = 0;
   /// Full-configuration checkpoints published by the Hybrid policy (the

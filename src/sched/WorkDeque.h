@@ -21,9 +21,11 @@
 /// an optional COW Configuration), so the transfer itself dwarfs an
 /// uncontended lock, and the mutex keeps the stealing path trivially
 /// data-race-free (the CI ThreadSanitizer job holds the engine to that).
-/// What matters for contention is that workers no longer share one global
-/// mutex: a worker's fast path touches only its own shard, and thieves
-/// contend only with the specific victim they probe.
+/// What matters for contention is that workers share no global mutex: a
+/// worker's fast path touches only its own shard, and thieves contend
+/// only with the specific victim they probe.  The explorer's frontier at
+/// `Threads > 1` and the witness minimizer's per-leak job pool both run
+/// on it, one shard per worker.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,20 +75,13 @@ public:
     return Take;
   }
 
-  bool empty() const {
-    std::lock_guard<std::mutex> L(Mu);
-    return Items.empty();
-  }
-
 private:
-  mutable std::mutex Mu;
+  std::mutex Mu;
   std::deque<T> Items;
 };
 
-/// The sharded frontier: a fixed array of WorkDeques plus the randomized
-/// steal protocol.  Workers map onto shards round-robin (worker w owns
-/// shard w mod shards()); with the default one-shard-per-worker layout the
-/// mapping is the identity.
+/// The sharded frontier: one WorkDeque per worker (worker w owns shard w)
+/// plus the randomized steal protocol.
 ///
 /// Thread-safety: every method is safe to call concurrently from any
 /// worker.  At most one shard mutex is held at a time (a steal drains the
@@ -94,34 +89,29 @@ private:
 /// protocol cannot deadlock regardless of victim order.
 template <typename T> class StealQueue {
 public:
-  explicit StealQueue(unsigned ShardCount)
-      : Shards(ShardCount ? ShardCount : 1) {
+  explicit StealQueue(unsigned Workers) : Shards(Workers ? Workers : 1) {
     for (auto &S : Shards)
       S = std::make_unique<WorkDeque<T>>();
   }
 
-  unsigned shards() const { return static_cast<unsigned>(Shards.size()); }
-
-  /// Home shard of worker \p WorkerId.
-  unsigned homeOf(unsigned WorkerId) const { return WorkerId % shards(); }
-
-  void push(unsigned Shard, T &&Item) {
-    Shards[Shard]->pushBottom(std::move(Item));
+  /// Pushes onto worker \p Worker's shard.
+  void push(unsigned Worker, T &&Item) {
+    Shards[Worker]->pushBottom(std::move(Item));
   }
 
   /// Owner fast path: LIFO pop from the worker's own shard.
-  bool tryPop(unsigned Shard, T &Out) {
-    return Shards[Shard]->popBottom(Out);
+  bool tryPop(unsigned Worker, T &Out) {
+    return Shards[Worker]->popBottom(Out);
   }
 
-  /// Steal for the worker owning \p Home: probe every other shard once,
-  /// starting from a caller-supplied random offset (randomization spreads
+  /// Steal for worker \p Home: probe every other shard once, starting
+  /// from a caller-supplied random offset (randomization spreads
   /// simultaneous thieves over distinct victims).  On success the oldest
   /// stolen node is returned in \p Out for immediate execution and the
   /// rest refill the home shard; the number of nodes taken is returned, 0
   /// if every victim was empty.
   size_t trySteal(unsigned Home, unsigned RandomOffset, T &Out) {
-    unsigned D = shards();
+    unsigned D = static_cast<unsigned>(Shards.size());
     if (D <= 1)
       return 0;
     std::vector<T> Loot;

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "engine/CheckSession.h"
+#include "engine/SessionArgs.h"
 
 #include "checker/DifferentialChecker.h"
 #include "checker/SctChecker.h"
@@ -18,7 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
+#include <string>
+#include <thread>
 
 using namespace sct;
 
@@ -36,6 +40,15 @@ std::set<std::pair<PC, unsigned>> leakSet(const ExploreResult &R) {
 ExploreResult exploreProgram(const Program &P, const ExplorerOptions &Opts) {
   Machine M(P);
   return explore(M, Configuration::initial(P), Opts);
+}
+
+/// Hybrid snapshots with a checkpoint interval no path reaches: the root
+/// publishes the only checkpoint, so every frontier node re-derives its
+/// configuration by replaying its whole directive prefix.
+ExplorerOptions wholePrefixReplay(ExplorerOptions Opts) {
+  Opts.Snapshots = SnapshotPolicy::Hybrid;
+  Opts.CheckpointInterval = UINT_MAX;
+  return Opts;
 }
 
 /// A v1 gadget with two distinct leaking loads (two unique leak keys).
@@ -88,10 +101,10 @@ TEST(ParallelEngine, KocherLeakSetsMatchSequentialBothModes) {
 }
 
 TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
-  // The tentpole requirement: for every Kocher variant in both modes, the
-  // work-stealing sharded frontier at Threads=8 — with and without
-  // cross-schedule seen-state pruning — and the legacy shared frontier
-  // all report the deduplicated leak set of the sequential drain.
+  // For every Kocher variant in both modes, the work-stealing frontier —
+  // at Threads=8 with and without cross-schedule seen-state pruning, and
+  // at odd worker counts that leave steal victims unevenly loaded —
+  // reports the deduplicated leak set of the sequential drain.
   std::vector<SuiteCase> Cases = kocherCases();
   for (const SuiteCase &C : kocherOriginalCases())
     Cases.push_back(C);
@@ -104,27 +117,25 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
       ExploreResult Ref = exploreProgram(C.Prog, Seq);
 
       ExplorerOptions Steal = ModeFn();
-      Steal.Threads = 8; // Shards = 0: one deque per worker.
       Steal.PruneSeen = false;
-      ExploreResult A = exploreProgram(C.Prog, Steal);
-      EXPECT_EQ(leakSet(Ref), leakSet(A)) << C.Id << Mode << " stealing";
-      // Without pruning, stealing conserves work exactly.
-      EXPECT_EQ(Ref.TotalSteps, A.TotalSteps) << C.Id << Mode;
-      EXPECT_EQ(Ref.SchedulesCompleted, A.SchedulesCompleted) << C.Id << Mode;
+      for (unsigned Threads : {8u, 3u, 5u}) {
+        Steal.Threads = Threads;
+        ExploreResult A = exploreProgram(C.Prog, Steal);
+        EXPECT_EQ(leakSet(Ref), leakSet(A))
+            << C.Id << Mode << " stealing, Threads=" << Threads;
+        // Without pruning, stealing conserves work exactly.
+        EXPECT_EQ(Ref.TotalSteps, A.TotalSteps) << C.Id << Mode << Threads;
+        EXPECT_EQ(Ref.SchedulesCompleted, A.SchedulesCompleted)
+            << C.Id << Mode << Threads;
+      }
 
       ExplorerOptions StealPrune = Steal;
+      StealPrune.Threads = 8;
       StealPrune.PruneSeen = true; // The default, spelled out.
       ExploreResult B = exploreProgram(C.Prog, StealPrune);
       EXPECT_EQ(leakSet(Ref), leakSet(B))
           << C.Id << Mode << " stealing+pruning";
       EXPECT_LE(B.TotalSteps, Ref.TotalSteps) << C.Id << Mode;
-
-      ExplorerOptions Shared = ModeFn();
-      Shared.Threads = 8;
-      Shared.Shards = 1; // The pre-sharding baseline.
-      Shared.PruneSeen = false;
-      ExploreResult D = exploreProgram(C.Prog, Shared);
-      EXPECT_EQ(leakSet(Ref), leakSet(D)) << C.Id << Mode << " shared";
 
       ExplorerOptions SeqPrune = Seq;
       SeqPrune.PruneSeen = true;
@@ -139,30 +150,27 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
   }
 }
 
-TEST(ParallelEngine, OddShardCountsStillMatch) {
-  // Workers map round-robin onto an explicit shard count that neither
-  // matches the worker count nor divides it.
-  FigureCase C = figure7();
-  for (unsigned Shards : {2u, 3u, 16u}) {
-    ExplorerOptions Opts = C.CheckOpts;
-    Opts.Threads = 4;
-    Opts.Shards = Shards;
-    ExploreResult R = exploreProgram(C.Prog, Opts);
-    EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)))
-        << Shards;
-  }
-}
-
 TEST(ParallelEngine, StealingReplaySnapshotsMatch) {
   // Prefix-replay nodes survive being stolen: the thief re-derives the
-  // configuration from the directive prefix alone.
-  FigureCase C = figure7();
-  ExplorerOptions Opts = C.CheckOpts;
-  Opts.Threads = 8;
-  Opts.Snapshots = SnapshotPolicy::Replay;
-  Opts.PruneSeen = true;
-  ExploreResult R = exploreProgram(C.Prog, Opts);
-  EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)));
+  // configuration from the node's shared checkpoint (immutable, behind a
+  // shared_ptr) and its directive prefix — at short intervals and at
+  // whole-prefix replay from the root checkpoint — and the full parallel
+  // engine reproduces the sequential leak set.  v4 mode's hazard forks
+  // give every Kocher variant a tree wide enough for workers to steal.
+  for (const SuiteCase &C : kocherCases()) {
+    ExploreResult Ref = exploreProgram(C.Prog, v4Mode());
+    for (unsigned K : {2u, 16u, UINT_MAX}) {
+      for (unsigned Threads : {4u, 8u}) {
+        ExplorerOptions Opts = v4Mode();
+        Opts.Snapshots = SnapshotPolicy::Hybrid;
+        Opts.CheckpointInterval = K;
+        Opts.Threads = Threads;
+        ExploreResult R = exploreProgram(C.Prog, Opts);
+        EXPECT_EQ(leakSet(Ref), leakSet(R))
+            << C.Id << " K=" << K << " Threads=" << Threads;
+      }
+    }
+  }
 }
 
 TEST(ParallelEngine, FigureProgramsMatchSequential) {
@@ -188,33 +196,22 @@ TEST(ParallelEngine, StopAtFirstLeakStillShortCircuits) {
 
 //===--------------------------------------------------- snapshot policy ---===//
 
-TEST(SnapshotPolicy, ReplayMatchesCopy) {
+TEST(SnapshotPolicy, WholePrefixReplayMatchesCopy) {
   for (const FigureCase &C : {figure1(), figure6(), figure7()}) {
     ExplorerOptions Copy = C.CheckOpts;
     Copy.Snapshots = SnapshotPolicy::Copy;
-    ExplorerOptions Replay = C.CheckOpts;
-    Replay.Snapshots = SnapshotPolicy::Replay;
     ExploreResult A = exploreProgram(C.Prog, Copy);
-    ExploreResult B = exploreProgram(C.Prog, Replay);
+    ExploreResult B = exploreProgram(C.Prog, wholePrefixReplay(C.CheckOpts));
     EXPECT_EQ(leakSet(A), leakSet(B)) << C.Name;
     EXPECT_EQ(A.SchedulesCompleted, B.SchedulesCompleted) << C.Name;
     EXPECT_EQ(A.TotalSteps, B.TotalSteps) << C.Name;
   }
 }
 
-TEST(SnapshotPolicy, ReplayWorksParallel) {
-  FigureCase C = figure7();
-  ExplorerOptions Opts = C.CheckOpts;
-  Opts.Snapshots = SnapshotPolicy::Replay;
-  Opts.Threads = 4;
-  ExploreResult R = exploreProgram(C.Prog, Opts);
-  EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)));
-}
-
-TEST(SnapshotPolicy, HybridMatchesCopyAndReplayOnKocher) {
-  // The acceptance criterion: SnapshotPolicy::Hybrid yields identical
-  // leak sets to Copy and Replay — here on every Kocher variant in both
-  // modes and at several checkpoint intervals, with the sequential
+TEST(SnapshotPolicy, HybridMatchesCopyOnKocher) {
+  // SnapshotPolicy::Hybrid yields identical leak sets to Copy — here on
+  // every Kocher variant in both modes and at several checkpoint
+  // intervals up to whole-prefix replay (UINT_MAX), with the sequential
   // counters identical too (materialization replays never touch budgets).
   std::vector<SuiteCase> Cases = kocherCases();
   for (const SuiteCase &C : kocherOriginalCases())
@@ -225,13 +222,7 @@ TEST(SnapshotPolicy, HybridMatchesCopyAndReplayOnKocher) {
       Copy.Snapshots = SnapshotPolicy::Copy;
       ExploreResult A = exploreProgram(C.Prog, Copy);
 
-      ExplorerOptions Replay = ModeFn();
-      Replay.Snapshots = SnapshotPolicy::Replay;
-      ExploreResult B = exploreProgram(C.Prog, Replay);
-      EXPECT_EQ(leakSet(A), leakSet(B)) << C.Id << " replay";
-      EXPECT_EQ(A.TotalSteps, B.TotalSteps) << C.Id;
-
-      for (unsigned K : {1u, 4u, 16u, 64u}) {
+      for (unsigned K : {1u, 4u, 16u, 64u, UINT_MAX}) {
         ExplorerOptions Hybrid = ModeFn();
         Hybrid.Snapshots = SnapshotPolicy::Hybrid;
         Hybrid.CheckpointInterval = K;
@@ -252,7 +243,7 @@ TEST(SnapshotPolicy, HybridBoundsReplayWorkByInterval) {
   // monotonically with K (sequential drain, so they are deterministic).
   FigureCase C = figure7();
   uint64_t PrevCheckpoints = ~0ull, PrevReplay = 0;
-  for (unsigned K : {1u, 8u, 64u}) {
+  for (unsigned K : {1u, 8u, 64u, UINT_MAX}) {
     ExplorerOptions Opts = C.CheckOpts;
     Opts.Snapshots = SnapshotPolicy::Hybrid;
     Opts.CheckpointInterval = K;
@@ -262,32 +253,14 @@ TEST(SnapshotPolicy, HybridBoundsReplayWorkByInterval) {
     PrevCheckpoints = R.Checkpoints;
     PrevReplay = R.ReplaySteps;
   }
-  // Copy never replays; Replay never checkpoints.
+  // Copy never replays; whole-prefix replay publishes only the root's
+  // checkpoint.
   ExplorerOptions Copy = C.CheckOpts;
   ExploreResult RC = exploreProgram(C.Prog, Copy);
   EXPECT_EQ(RC.ReplaySteps, 0u);
   EXPECT_EQ(RC.Checkpoints, 0u);
-  ExplorerOptions Rep = C.CheckOpts;
-  Rep.Snapshots = SnapshotPolicy::Replay;
-  ExploreResult RR = exploreProgram(C.Prog, Rep);
-  EXPECT_EQ(RR.Checkpoints, 0u);
-}
-
-TEST(SnapshotPolicy, HybridWorksUnderStealingAndPruning) {
-  // Hybrid checkpoints are shared between workers (shared_ptr to an
-  // immutable configuration); the full parallel engine must reproduce
-  // the sequential leak set.
-  FigureCase C = figure7();
-  for (unsigned K : {2u, 16u}) {
-    ExplorerOptions Opts = C.CheckOpts;
-    Opts.Snapshots = SnapshotPolicy::Hybrid;
-    Opts.CheckpointInterval = K;
-    Opts.Threads = 8;
-    Opts.PruneSeen = true;
-    ExploreResult R = exploreProgram(C.Prog, Opts);
-    EXPECT_EQ(leakSet(R), leakSet(exploreProgram(C.Prog, C.CheckOpts)))
-        << K;
-  }
+  ExploreResult RR = exploreProgram(C.Prog, wholePrefixReplay(C.CheckOpts));
+  EXPECT_EQ(RR.Checkpoints, 1u);
 }
 
 //===----------------------------------------------------------- budgets ---===//
@@ -423,6 +396,58 @@ TEST(CheckSession, SuiteRunnerMatchesExpectations) {
       runSuite(Session, std::span<const SuiteCase>(Cases));
   ASSERT_EQ(Verdicts.size(), Cases.size());
   EXPECT_TRUE(allMatch(Verdicts));
+}
+
+//===------------------------------------------------------ session flags ---===//
+
+SessionArgs parseFlags(std::vector<const char *> Args) {
+  Args.insert(Args.begin(), "driver");
+  return parseSessionArgs(static_cast<int>(Args.size()),
+                          const_cast<char **>(Args.data()));
+}
+
+TEST(SessionArgs, NumericFlagsParseWholeInRangeValuesOnly) {
+  SessionArgs Ok = parseFlags({"--threads", "3", "--minimize-budget",
+                               "18446744073709551615", "--worker-timeout",
+                               "2.5", "--checkpoint-interval", "8"});
+  EXPECT_TRUE(Ok.Error.empty()) << Ok.Error;
+  EXPECT_EQ(Ok.Opts.Threads, 3u);
+  EXPECT_EQ(Ok.Opts.Passes.Minimize.MaxReplays, UINT64_MAX);
+  EXPECT_EQ(Ok.Opts.WorkerTimeoutSec, 2.5);
+  EXPECT_EQ(Ok.Opts.DefaultOpts.Snapshots, SnapshotPolicy::Hybrid);
+  EXPECT_EQ(Ok.Opts.DefaultOpts.CheckpointInterval, 8u);
+
+  // A sign, junk, a partial number, an empty word, or a value the field
+  // cannot hold is reported and leaves the option at its default (a -1
+  // thread count used to wrap to 4294967295 workers).
+  for (const char *Bad : {"-1", "abc", "4x", "", "4294967296", " 4"}) {
+    SessionArgs R = parseFlags({"--threads", Bad});
+    EXPECT_EQ(R.Error, std::string("invalid value '") + Bad +
+                           "' for --threads N");
+    EXPECT_EQ(R.Opts.Threads, std::thread::hardware_concurrency()) << Bad;
+    EXPECT_TRUE(R.Consumed[1] && R.Consumed[2]) << Bad;
+  }
+  for (const char *Bad : {"-1", "nan", "inf", "1s"})
+    EXPECT_FALSE(parseFlags({"--worker-timeout", Bad}).Error.empty()) << Bad;
+  SessionArgs K = parseFlags({"--checkpoint-interval", "x"});
+  EXPECT_FALSE(K.Error.empty());
+  EXPECT_EQ(K.Opts.DefaultOpts.Snapshots, SnapshotPolicy::Copy);
+
+  // The first malformed flag is the one reported.
+  EXPECT_EQ(parseFlags({"--workers", "two", "--threads", "-1"}).Error,
+            "invalid value 'two' for --workers N");
+  // The frontier is no longer configurable: --shards is left unconsumed.
+  EXPECT_FALSE(parseFlags({"--shards", "2"}).Consumed[1]);
+}
+
+TEST(SessionArgs, DriverHelperExitsTwoOnMalformedValue) {
+  // Re-execute instead of forking: earlier tests ran worker threads, and
+  // a forked child would inherit their sanitizer state.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char *Argv[] = {"driver", "--threads", "-1"};
+  EXPECT_EXIT(sessionOptionsFromArgs(3, const_cast<char **>(Argv)),
+              ::testing::ExitedWithCode(2),
+              "invalid value '-1' for --threads N");
 }
 
 //===------------------------------------------- differential validation ---===//

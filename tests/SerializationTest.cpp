@@ -20,6 +20,7 @@
 
 #include "RandomProgram.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -155,7 +156,6 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   E.Threads = 5;
   E.Snapshots = SnapshotPolicy::Hybrid;
   E.CheckpointInterval = 3;
-  E.Shards = 2;
   E.RecordCheckpointChain = true;
   E.PruneSeen = false;
   E.ExportSeenStates = true;
@@ -231,11 +231,16 @@ TEST(Serialization, FingerprintNormalizesExecutionKnobsOnly) {
   PassConfig P;
   uint64_t Base = optionsFingerprint(E, M, P);
 
-  // The determinism contract's knobs: fingerprint-invariant.
+  // The determinism contract's knob: fingerprint-invariant.
   ExplorerOptions T = E;
   T.Threads = 16;
-  T.Shards = 4;
   EXPECT_EQ(optionsFingerprint(T, M, P), Base);
+
+  // The snapshot policy stays in the key, even though the leak set does
+  // not depend on it (completeness over reuse).
+  ExplorerOptions S = E;
+  S.Snapshots = SnapshotPolicy::Hybrid;
+  EXPECT_NE(optionsFingerprint(S, M, P), Base);
 
   // Everything behavior-affecting separates (the completeness invariant).
   ExplorerOptions B1 = E;
@@ -328,6 +333,15 @@ TEST(Serialization, ResultRejectsVersionSkewAndBitFlips) {
   std::vector<uint8_t> Skew = Bytes;
   Skew[0] ^= 1; // Version header.
   EXPECT_FALSE(deserializeCheckResult(Skew).has_value());
+
+  // A result stamped with format version 2 (which still encoded
+  // ExplorerOptions::Shards and numbered SnapshotPolicy::Hybrid 2) is
+  // rejected outright, never misparsed as version 3.
+  ByteWriter V2;
+  V2.u32(2);
+  std::vector<uint8_t> Old = Bytes;
+  std::copy(V2.buffer().begin(), V2.buffer().end(), Old.begin());
+  EXPECT_FALSE(deserializeCheckResult(Old).has_value());
 
   // Truncation at every length must fail or fully account for the bytes;
   // the trailing-byte check (done()) rejects prefix-parses.
@@ -473,6 +487,15 @@ TEST(ResultCacheTest, CorruptedAndTruncatedEntriesAreMisses) {
     WriteEntry(std::vector<char>(Bytes.begin(), Bytes.begin() + Len));
     EXPECT_FALSE(Cache.lookup(*Key).has_value()) << "len " << Len;
   }
+
+  // An entry stamped with format version 2 at the same address (the
+  // version sits right after the 4-byte magic) is a miss.
+  ByteWriter V2;
+  V2.u32(2);
+  std::vector<char> Old = Bytes;
+  std::copy(V2.buffer().begin(), V2.buffer().end(), Old.begin() + 4);
+  WriteEntry(Old);
+  EXPECT_FALSE(Cache.lookup(*Key).has_value());
 
   // Restore the pristine bytes: hits again (the file, not some in-memory
   // state, is what is being validated).
