@@ -8,27 +8,20 @@
 // docs/WITNESSES.md frames as minimization's motivating case) — and
 // minimizes it under:
 //
-//   - `prior-minimizer`: the PR 3 pipeline verbatim — sequential, every
-//     candidate replayed in full from the initial configuration, no
-//     excursion slicing, no candidate memo.  The "sequential
-//     from-initial baseline".
-//   - `from-initial`: the shipped pipeline (slicing on) with the replay
-//     engine pinned from-initial (no seeding, no memo), sequential.
-//     This is the byte-identity reference: seeding, memoization, and
-//     threads are all provably output-preserving, so every row below
-//     must match it exactly.
-//   - `seeded-tN`: the full phase — checkpoint-seeded replays, candidate
-//     memo, excursion slicing — at Threads in {1, 2, 4, 8}.
+//   - `from-initial`: `MinimizeOptions::SeedReplays` off, sequential —
+//     every candidate replayed in full from the initial configuration.
+//     This is the byte-identity reference: seeding, suffix rejoins, the
+//     candidate memo, and threads are all provably output-preserving,
+//     so every row below must match it exactly.
+//   - `seeded-tN`: the full phase — checkpoint-seeded replays, suffix
+//     rejoins, candidate memo — at Threads in {1, 2, 4, 8}.
 //
-// Two ratios fall out, reported per case and summarized for the deepest
-// tree: the full phase against the prior minimizer (the end-to-end
-// speedup; slicing converges to its own — equally valid, same leak key,
-// never longer — 1-minimal fixpoint, so `matches_prior` is reported but
-// not required), and the full phase against `from-initial` (byte-equal
-// outputs enforced: a mismatch fails the whole bench).  `replayed_steps`
-// counts machine steps actually executed — the honest CPU cost;
-// `seeded_steps` is what checkpoint seeding skipped.  Wall-clock rows on
-// a single-core host show the step ratio; thread scaling needs cores.
+// The full phase's ratio against `from-initial` is reported per case and
+// summarized for the deepest tree; byte-equal outputs are enforced (a
+// mismatch fails the whole bench).  `replayed_steps` counts machine
+// steps actually executed — the honest CPU cost; `seeded_steps` is what
+// checkpoint seeding skipped.  Wall-clock rows on a single-core host
+// show the step ratio; thread scaling needs cores.
 //
 // Results are printed as a table and recorded to BENCH_MINIMIZER.json
 // (override with --out FILE).  `--quick` runs a reduced matrix for CI
@@ -66,11 +59,10 @@ struct RunRecord {
   std::string Config;
   unsigned Threads = 1;
   bool Seeded = false;
-  bool Sliced = false;
   double Seconds = 0;
   MinimizeStats Stats;
+  std::map<uint64_t, Schedule> MinScheds;
   bool MatchesFromInitial = true;
-  bool MatchesPrior = true;
 };
 
 /// MinSched per leak key — the identity oracle between configurations.
@@ -113,16 +105,13 @@ std::vector<LeakRecord> bloatedWitnesses(const Machine &M,
 }
 
 RunRecord runOne(const Machine &M, const Configuration &Init,
-                 const std::vector<LeakRecord> &RawLeaks, const char *Config,
-                 unsigned Threads, bool Seed, bool Memo, bool Slice,
-                 const std::map<uint64_t, Schedule> *RefFromInitial,
-                 const std::map<uint64_t, Schedule> *RefPrior) {
+                 const std::vector<LeakRecord> &RawLeaks,
+                 const std::string &Config, unsigned Threads, bool Seed,
+                 const std::map<uint64_t, Schedule> *RefFromInitial) {
   std::vector<LeakRecord> Leaks = RawLeaks; // Fresh copies: MinSched empty.
   MinimizeOptions Opts;
   Opts.Threads = Threads;
   Opts.SeedReplays = Seed;
-  Opts.MemoizeCandidates = Memo;
-  Opts.SliceExcursions = Slice;
   auto T0 = std::chrono::steady_clock::now();
   MinimizeStats Stats = minimizeWitnesses(M, Init, Leaks, Opts);
   auto T1 = std::chrono::steady_clock::now();
@@ -131,14 +120,11 @@ RunRecord runOne(const Machine &M, const Configuration &Init,
   Rec.Config = Config;
   Rec.Threads = Threads;
   Rec.Seeded = Seed;
-  Rec.Sliced = Slice;
   Rec.Seconds = std::chrono::duration<double>(T1 - T0).count();
   Rec.Stats = Stats;
-  std::map<uint64_t, Schedule> Mine = minSchedByKey(Leaks);
+  Rec.MinScheds = minSchedByKey(Leaks);
   if (RefFromInitial)
-    Rec.MatchesFromInitial = Mine == *RefFromInitial;
-  if (RefPrior)
-    Rec.MatchesPrior = Mine == *RefPrior;
+    Rec.MatchesFromInitial = Rec.MinScheds == *RefFromInitial;
   return Rec;
 }
 
@@ -146,19 +132,17 @@ void jsonRun(FILE *F, const RunRecord &R, bool Last) {
   std::fprintf(
       F,
       "      {\"config\": \"%s\", \"threads\": %u, \"seeded\": %s, "
-      "\"sliced\": %s, \"seconds\": %.6f, \"replays\": %llu, "
+      "\"seconds\": %.6f, \"replays\": %llu, "
       "\"replayed_steps\": %llu, \"seeded_steps\": %llu, "
       "\"sliced_excursions\": %llu, \"minimized_directives\": %llu, "
-      "\"matches_from_initial\": %s, \"matches_prior\": %s}%s\n",
-      R.Config.c_str(), R.Threads, R.Seeded ? "true" : "false",
-      R.Sliced ? "true" : "false", R.Seconds,
+      "\"matches_from_initial\": %s}%s\n",
+      R.Config.c_str(), R.Threads, R.Seeded ? "true" : "false", R.Seconds,
       static_cast<unsigned long long>(R.Stats.Replays),
       static_cast<unsigned long long>(R.Stats.ReplayedSteps),
       static_cast<unsigned long long>(R.Stats.SeededSteps),
       static_cast<unsigned long long>(R.Stats.SlicedExcursions),
       static_cast<unsigned long long>(R.Stats.MinimizedDirectives),
-      R.MatchesFromInitial ? "true" : "false",
-      R.MatchesPrior ? "true" : "false", Last ? "" : ",");
+      R.MatchesFromInitial ? "true" : "false", Last ? "" : ",");
 }
 
 } // namespace
@@ -216,15 +200,13 @@ int main(int Argc, char **Argv) {
       Out,
       "{\n  \"bench\": \"minimizer-scaling\",\n"
       "  \"baselines\": {\n"
-      "    \"prior-minimizer\": \"the sequential from-initial baseline: "
-      "every candidate replayed in full from the initial configuration, "
-      "no slicing, no memo (the pre-phase pipeline)\",\n"
-      "    \"from-initial\": \"the shipped pipeline with replays pinned "
-      "from-initial — the byte-identity reference for seeding, "
-      "memoization, and threads\"\n  },\n  \"cases\": [\n");
+      "    \"from-initial\": \"SeedReplays off: every candidate replayed "
+      "in full from the initial configuration — the byte-identity "
+      "reference for seeding, rejoins, memoization, and threads\"\n"
+      "  },\n  \"cases\": [\n");
 
   bool AllOk = true;
-  double PhaseStepX = 0, PhaseWallX = 0, SeedStepX = 0, SeedWallX = 0;
+  double SeedStepX = 0, SeedWallX = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
     // One deterministic exploration feeds every config: Threads=1 hybrid
@@ -249,40 +231,21 @@ int main(int Argc, char **Argv) {
                 Corpus.size(), static_cast<unsigned long long>(RawTotal));
 
     std::vector<RunRecord> Runs;
-    Runs.push_back(runOne(M, Init, Corpus, "prior-minimizer", 1,
-                          /*Seed=*/false, /*Memo=*/false, /*Slice=*/false,
-                          nullptr, nullptr));
-    std::map<uint64_t, Schedule> RefPrior, RefFrom;
-    {
-      std::vector<LeakRecord> Tmp = Corpus;
-      MinimizeOptions O;
-      O.Threads = 1;
-      O.SeedReplays = false;
-      O.MemoizeCandidates = false;
-      O.SliceExcursions = false;
-      minimizeWitnesses(M, Init, Tmp, O);
-      RefPrior = minSchedByKey(Tmp);
-      Tmp = Corpus;
-      O.SliceExcursions = true;
-      minimizeWitnesses(M, Init, Tmp, O);
-      RefFrom = minSchedByKey(Tmp);
-    }
-    Runs.push_back(runOne(M, Init, Corpus, "from-initial", 1, false, false,
-                          true, &RefFrom, &RefPrior));
+    Runs.reserve(1 + ThreadLadder.size());
+    Runs.push_back(runOne(M, Init, Corpus, "from-initial", 1,
+                          /*Seed=*/false, nullptr));
     for (unsigned T : ThreadLadder)
-      Runs.push_back(runOne(M, Init, Corpus,
-                            ("seeded-t" + std::to_string(T)).c_str(), T,
-                            true, true, true, &RefFrom, &RefPrior));
+      Runs.push_back(runOne(M, Init, Corpus, "seeded-t" + std::to_string(T),
+                            T, /*Seed=*/true, &Runs[0].MinScheds));
 
-    const RunRecord &Prior = Runs[0];
-    const RunRecord &From = Runs[1];
+    const RunRecord &From = Runs[0];
     std::vector<std::vector<std::string>> Table;
     for (const RunRecord &Rec : Runs) {
       double StepX = Rec.Stats.ReplayedSteps
-                         ? double(Prior.Stats.ReplayedSteps) /
+                         ? double(From.Stats.ReplayedSteps) /
                                double(Rec.Stats.ReplayedSteps)
                          : 0;
-      double WallX = Rec.Seconds ? Prior.Seconds / Rec.Seconds : 0;
+      double WallX = Rec.Seconds ? From.Seconds / Rec.Seconds : 0;
       Table.push_back({Rec.Config, std::to_string(Rec.Threads),
                        std::to_string(Rec.Seconds).substr(0, 6),
                        std::to_string(Rec.Stats.Replays),
@@ -294,24 +257,19 @@ int main(int Argc, char **Argv) {
     }
     std::printf("%s\n",
                 renderTable({"config", "threads", "seconds", "replays",
-                             "replayed steps", "steps vs prior",
-                             "wall vs prior", "vs from-initial"},
+                             "replayed steps", "steps vs from-initial",
+                             "wall vs from-initial", "identical"},
                             Table)
                     .c_str());
 
     // The summary ratios are read on the deepest tree in the matrix.
     if (CI + 1 == Cases.size()) {
       const RunRecord &Full = Runs.back();
-      if (Full.Stats.ReplayedSteps) {
-        PhaseStepX = double(Prior.Stats.ReplayedSteps) /
-                     double(Full.Stats.ReplayedSteps);
+      if (Full.Stats.ReplayedSteps)
         SeedStepX = double(From.Stats.ReplayedSteps) /
                     double(Full.Stats.ReplayedSteps);
-      }
-      if (Full.Seconds) {
-        PhaseWallX = Prior.Seconds / Full.Seconds;
+      if (Full.Seconds)
         SeedWallX = From.Seconds / Full.Seconds;
-      }
     }
 
     std::fprintf(Out,
@@ -327,14 +285,12 @@ int main(int Argc, char **Argv) {
   std::fprintf(
       Out,
       "  ],\n  \"deep_tree_summary\": {\n"
-      "    \"full_phase_vs_prior_minimizer\": {\"replay_steps\": %.2f, "
-      "\"wall_clock\": %.2f},\n"
       "    \"full_phase_vs_from_initial\": {\"replay_steps\": %.2f, "
       "\"wall_clock\": %.2f},\n"
       "    \"note\": \"threads do not shorten wall-clock on a 1-core "
       "host; the CI smoke run shows the parallel axis\"\n  },\n"
       "  \"all_min_scheds_match_from_initial\": %s\n}\n",
-      PhaseStepX, PhaseWallX, SeedStepX, SeedWallX, AllOk ? "true" : "false");
+      SeedStepX, SeedWallX, AllOk ? "true" : "false");
   std::fclose(Out);
   std::printf("recorded %s\n", OutPath);
   if (!AllOk) {

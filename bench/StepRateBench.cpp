@@ -16,15 +16,8 @@
 // byte-identical).  `--prepr ID=RATE` re-anchors them after
 // re-measuring on different hardware.
 //
-// The binary still carries one knob of the old behaviour:
-// `ExplorerOptions::FromScratchHashing` makes every seen-state probe
-// re-walk the whole configuration instead of reading the maintained
-// fingerprint.  Both modes run here as a hashing-sensitivity column —
-// they compute bit-identical hash values, and the bench enforces result
-// identity: every run's leak-key set must match the sequential
-// reference, the Threads=1 runs must produce byte-identical LeakRecords
-// (keys, schedules, observations), and their minimized witnesses must
-// match byte-for-byte.
+// Every run's leak-key set must match the sequential reference; a
+// mismatch fails the bench.
 //
 // Results go to BENCH_STEPRATE.json (override with --out FILE); the
 // headline is per-core steps/sec at Threads=1 vs the pre-PR layout,
@@ -38,7 +31,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "checker/SctChecker.h"
-#include "engine/WitnessMinimizer.h"
 #include "support/Hashing.h"
 #include "support/Printing.h"
 #include "workloads/CryptoLibs.h"
@@ -83,7 +75,6 @@ struct BenchCase {
 };
 
 struct RunRecord {
-  std::string Config;
   unsigned Threads = 0;
   double Seconds = 0;
   uint64_t Steps = 0;
@@ -110,35 +101,15 @@ std::set<uint64_t> leakKeys(const ExploreResult &R) {
   return S;
 }
 
-/// Full byte-level equality of two leak lists: same order, same keys,
-/// same raw schedules, same observations.  Only meaningful at
-/// Threads=1, where exploration is fully deterministic.
-bool recordsIdentical(const std::vector<LeakRecord> &A,
-                      const std::vector<LeakRecord> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I < A.size(); ++I) {
-    if (A[I].key() != B[I].key() || A[I].Sched != B[I].Sched ||
-        A[I].MinSched != B[I].MinSched)
-      return false;
-  }
-  return true;
-}
-
-std::pair<RunRecord, ExploreResult> runOne(const BenchCase &C,
-                                           const char *Config,
-                                           unsigned Threads, bool FromScratch,
-                                           const std::set<uint64_t> &RefLeaks) {
+RunRecord runOne(const BenchCase &C, unsigned Threads,
+                 const std::set<uint64_t> &RefLeaks) {
   ExplorerOptions Opts = C.Mode;
   Opts.Threads = Threads;
   Opts.PruneSeen = true;
-  Opts.FromScratchHashing = FromScratch;
   Machine M(C.Prog);
 
   RunRecord Rec;
-  Rec.Config = Config;
   Rec.Threads = Threads;
-  ExploreResult Best;
   for (int I = 0; I < Repeats; ++I) {
     auto T0 = std::chrono::steady_clock::now();
     ExploreResult R = explore(M, Configuration::initial(C.Prog), Opts);
@@ -152,10 +123,9 @@ std::pair<RunRecord, ExploreResult> runOne(const BenchCase &C,
       Rec.Forked = R.ConfigsForked;
       Rec.RobCopied = R.RobBytesCopied;
       Rec.RobFlat = R.RobBytesFlat;
-      Best = std::move(R);
     }
   }
-  return {Rec, std::move(Best)};
+  return Rec;
 }
 
 /// Fixed-work single-core calibration: hash-avalanche a chain for a
@@ -183,14 +153,14 @@ double calibrationScore() {
 
 void jsonRun(FILE *F, const RunRecord &R, bool Last) {
   std::fprintf(F,
-               "      {\"config\": \"%s\", \"threads\": %u, "
+               "      {\"threads\": %u, "
                "\"seconds\": %.6f, \"steps\": %llu, "
                "\"steps_per_sec\": %.1f, \"per_core_steps_per_sec\": %.1f, "
                "\"leaks\": %zu, \"leak_set_matches_reference\": %s, "
                "\"configs_forked\": %llu, \"rob_bytes_copied\": %llu, "
                "\"rob_bytes_flat_equiv\": %llu, "
                "\"rob_flat_over_copied\": %.2f}%s\n",
-               R.Config.c_str(), R.Threads, R.Seconds,
+               R.Threads, R.Seconds,
                static_cast<unsigned long long>(R.Steps), R.stepsPerSec(),
                R.perCore(), R.Leaks, R.LeakSetOk ? "true" : "false",
                static_cast<unsigned long long>(R.Forked),
@@ -303,7 +273,7 @@ int main(int Argc, char **Argv) {
   double MinSpeedup1 = 0, MinPerCore1 = 0;
   for (size_t CI = 0; CI < Cases.size(); ++CI) {
     const BenchCase &C = Cases[CI];
-    // Sequential incremental reference: the determinism anchor for
+    // Sequential reference: the determinism anchor for
     // every other run's leak-key set.
     ExplorerOptions Ref = C.Mode;
     Ref.Threads = 1;
@@ -314,44 +284,24 @@ int main(int Argc, char **Argv) {
 
     std::printf("%s:\n", C.Id.c_str());
     std::vector<RunRecord> Runs;
-    double New1 = 0;
-    bool T1Identical = true, T1MinIdentical = true;
-    for (unsigned T : ThreadCounts) {
-      auto [OldRec, OldRes] =
-          runOne(C, "from-scratch", T, /*FromScratch=*/true, RefLeaks);
-      auto [NewRec, NewRes] =
-          runOne(C, "incremental", T, /*FromScratch=*/false, RefLeaks);
-      if (T == 1) {
-        New1 = NewRec.perCore();
-        // Sequential exploration is deterministic, so the two hashing
-        // modes must agree on every byte of every record — and their
-        // minimized witnesses must match too (minimization replays use
-        // the same incremental fingerprints for convergence rejoins).
-        T1Identical = recordsIdentical(OldRes.Leaks, NewRes.Leaks);
-        MinimizeOptions MinOpts;
-        minimizeWitnesses(M, Configuration::initial(C.Prog), OldRes.Leaks,
-                          MinOpts);
-        minimizeWitnesses(M, Configuration::initial(C.Prog), NewRes.Leaks,
-                          MinOpts);
-        T1MinIdentical = recordsIdentical(OldRes.Leaks, NewRes.Leaks);
-      }
-      Runs.push_back(std::move(OldRec));
-      Runs.push_back(std::move(NewRec));
-    }
+    for (unsigned T : ThreadCounts)
+      Runs.push_back(runOne(C, T, RefLeaks));
+    // The thread ladder starts at 1: Runs[0] is the per-core headline.
+    const RunRecord &T1 = Runs[0];
+    double New1 = T1.perCore();
 
     std::vector<std::vector<std::string>> Table;
     for (const RunRecord &R : Runs) {
       char Rate[32];
       std::snprintf(Rate, sizeof Rate, "%.0f", R.perCore());
-      Table.push_back({R.Config, std::to_string(R.Threads),
+      Table.push_back({std::to_string(R.Threads),
                        std::to_string(R.Seconds).substr(0, 6),
                        std::to_string(R.Steps), Rate,
                        R.LeakSetOk ? "ok" : "MISMATCH"});
       AllOk &= R.LeakSetOk;
     }
-    AllOk &= T1Identical && T1MinIdentical;
     std::printf("%s\n",
-                renderTable({"hashing", "threads", "seconds", "steps",
+                renderTable({"threads", "seconds", "steps",
                              "steps/s/core", "leak set"},
                             Table)
                     .c_str());
@@ -362,33 +312,25 @@ int main(int Argc, char **Argv) {
       MinSpeedup1 = Speedup1;
     if (CI == 0 || New1 < MinPerCore1)
       MinPerCore1 = New1;
-    // T=1 incremental is Runs[1] (from-scratch T=1 is Runs[0]); its
-    // fork accounting is deterministic, so it is the sharing headline.
-    double Share1 = Runs.size() > 1 ? Runs[1].shareFactor() : 0;
+    // T=1 fork accounting is deterministic, so it is the sharing
+    // headline.
+    double Share1 = T1.shareFactor();
     std::printf("  per-core at 1 thread: %.0f steps/s, %.2fx the pre-PR "
-                "layout's %.0f; T=1 records %s, minimized witnesses %s\n",
-                New1, Speedup1, Prepr, T1Identical ? "identical" : "DIFFER",
-                T1MinIdentical ? "identical" : "DIFFER");
+                "layout's %.0f\n",
+                New1, Speedup1, Prepr);
     std::printf("  fork copies at 1 thread: %llu, ROB bytes %llu vs %llu "
                 "flat (%.1fx shared)\n",
-                static_cast<unsigned long long>(
-                    Runs.size() > 1 ? Runs[1].Forked : 0),
-                static_cast<unsigned long long>(
-                    Runs.size() > 1 ? Runs[1].RobCopied : 0),
-                static_cast<unsigned long long>(
-                    Runs.size() > 1 ? Runs[1].RobFlat : 0),
-                Share1);
+                static_cast<unsigned long long>(T1.Forked),
+                static_cast<unsigned long long>(T1.RobCopied),
+                static_cast<unsigned long long>(T1.RobFlat), Share1);
 
     std::fprintf(Out, "    {\"id\": \"%s\",\n", C.Id.c_str());
     std::fprintf(Out,
                  "     \"pre_pr_per_core_steps_per_sec_at_1_thread\": %.1f,\n"
                  "     \"per_core_speedup_vs_pre_pr_at_1_thread\": %.3f,\n"
                  "     \"rob_flat_over_copied_at_1_thread\": %.2f,\n"
-                 "     \"t1_records_identical\": %s,\n"
-                 "     \"t1_minimized_identical\": %s,\n"
                  "     \"runs\": [\n",
-                 Prepr, Speedup1, Share1, T1Identical ? "true" : "false",
-                 T1MinIdentical ? "true" : "false");
+                 Prepr, Speedup1, Share1);
     for (size_t I = 0; I < Runs.size(); ++I)
       jsonRun(Out, Runs[I], I + 1 == Runs.size());
     std::fprintf(Out, "    ]}%s\n", CI + 1 == Cases.size() ? "" : ",");
@@ -407,7 +349,7 @@ int main(int Argc, char **Argv) {
               MinSpeedup1);
   std::printf("recorded %s\n", OutPath);
   if (!AllOk) {
-    std::printf("RESULT MISMATCH between hashing modes\n");
+    std::printf("LEAK SET MISMATCH against the sequential reference\n");
     return 1;
   }
 

@@ -155,9 +155,17 @@ int main(int Argc, char **Argv) {
   for (int I = 2; I < Argc; ++I) {
     if (SA.Consumed[static_cast<size_t>(I)])
       continue;
-    if (!std::strcmp(Argv[I], "--bound") && I + 1 < Argc)
-      Opts.SpeculationBound = static_cast<unsigned>(atoi(Argv[++I]));
-    else if (!std::strcmp(Argv[I], "--no-fwd"))
+    if (!std::strcmp(Argv[I], "--bound") && I + 1 < Argc) {
+      // A zero-entry buffer can never fetch, so 0 is no bound at all.
+      ++I;
+      if (!parseNumber(Argv[I], Opts.SpeculationBound) ||
+          Opts.SpeculationBound == 0) {
+        std::fprintf(stderr, "error: invalid value '%s' for --bound N "
+                             "(want a positive integer)\n",
+                     Argv[I]);
+        return 2;
+      }
+    } else if (!std::strcmp(Argv[I], "--no-fwd"))
       Opts.ExploreForwardingHazards = false;
     else if (!std::strcmp(Argv[I], "--alias"))
       Opts.ExploreAliasPrediction = true;

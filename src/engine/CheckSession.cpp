@@ -156,9 +156,11 @@ bool CheckSession::runOnWorkers(std::span<const CheckRequest> Reqs,
       });
 
   // Whatever the pool could not finish — workers crashed twice, timed
-  // out, or all died — runs in-process on this thread.
+  // out, or all died — runs in-process on this thread, at the thread
+  // share the shipped request carried, so the result is one the worker
+  // would have produced.
   for (size_t I : Fallback)
-    Results[I] = runOne(Reqs[I], Opts.Threads);
+    Results[I] = runOne(Reqs[I], PerProgram);
 
   if (Cache)
     for (size_t I : Pending)

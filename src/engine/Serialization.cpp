@@ -260,28 +260,14 @@ bool readLeakRecord(ByteReader &R, LeakRecord &L) {
 
 void writeMinimizeOptions(ByteWriter &W, const MinimizeOptions &O) {
   W.u64(O.MaxReplays);
-  W.b(O.Canonicalize);
-  W.b(O.SliceExcursions);
-  W.b(O.SlicePolish);
   W.b(O.SeedReplays);
-  W.b(O.SuffixConverge);
-  W.b(O.MemoizeCandidates);
-  W.u32(O.SeedInterval);
   W.u32(O.Threads);
-  W.u32(O.MaxPasses);
 }
 
 bool readMinimizeOptions(ByteReader &R, MinimizeOptions &O) {
   O.MaxReplays = R.u64();
-  O.Canonicalize = R.b();
-  O.SliceExcursions = R.b();
-  O.SlicePolish = R.b();
   O.SeedReplays = R.b();
-  O.SuffixConverge = R.b();
-  O.MemoizeCandidates = R.b();
-  O.SeedInterval = R.u32();
   O.Threads = R.u32();
-  O.MaxPasses = R.u32();
   return R.ok();
 }
 
@@ -580,12 +566,13 @@ void sct::writeExplorerOptions(ByteWriter &W, const ExplorerOptions &O) {
   W.b(O.PruneSeen);
   W.b(O.ExportSeenStates);
   // `Reuse` is a live table handle, not data; wireable() gates it out.
-  W.b(O.FromScratchHashing);
   W.b(O.CollectStats);
 }
 
 bool sct::readExplorerOptions(ByteReader &R, ExplorerOptions &O) {
   O.SpeculationBound = R.u32();
+  if (!R.ok() || O.SpeculationBound == 0)
+    return false; // A zero-entry buffer can never fetch.
   O.ExploreForwardingHazards = R.b();
   O.ExhaustiveForwardForks = R.b();
   O.MaxBranchDepth = R.u32();
@@ -612,7 +599,6 @@ bool sct::readExplorerOptions(ByteReader &R, ExplorerOptions &O) {
   O.RecordCheckpointChain = R.b();
   O.PruneSeen = R.b();
   O.ExportSeenStates = R.b();
-  O.FromScratchHashing = R.b();
   O.CollectStats = R.b();
   return R.ok();
 }

@@ -47,7 +47,7 @@
 namespace sct {
 
 /// Bump on any wire/cache format change.
-inline constexpr uint32_t SerializationFormatVersion = 3;
+inline constexpr uint32_t SerializationFormatVersion = 4;
 
 /// Field-level writers/readers (no version header; compose into the
 /// top-level payloads below).  Readers return false / disengaged on

@@ -2,35 +2,15 @@
 
 #include "engine/SessionArgs.h"
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
-#include <type_traits>
 
 using namespace sct;
 
 namespace {
-
-/// Parses all of \p V as a T into \p Out.  Rejects the empty string,
-/// signs on unsigned types, trailing characters, and out-of-range values
-/// (std::from_chars reports those instead of wrapping); floating values
-/// (durations) must also be finite and non-negative.
-template <typename T> bool parseNumber(const char *V, T &Out) {
-  const char *End = V + std::strlen(V);
-  T Tmp{};
-  auto [Ptr, Ec] = std::from_chars(V, End, Tmp);
-  if (V == End || Ec != std::errc() || Ptr != End)
-    return false;
-  if constexpr (std::is_floating_point_v<T>)
-    if (!std::isfinite(Tmp) || Tmp < 0)
-      return false;
-  Out = Tmp;
-  return true;
-}
 
 // The one place a session flag is declared.  Rows parse *and* document:
 // sessionFlagsHelp() renders Name/Arg/Doc, parseSessionArgs dispatches to
@@ -73,26 +53,10 @@ constexpr SessionFlag Flags[] = {
      [](SessionOptions &O, const char *V) {
        return parseNumber(V, O.Passes.Minimize.Threads);
      }},
-    {"--no-slice-excursions", nullptr, "disable the excursion slice pass",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SliceExcursions = false;
-       return true;
-     }},
-    {"--no-slice-polish", nullptr, "disable the slice-polish basin hop",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SlicePolish = false;
-       return true;
-     }},
     {"--no-seed-replays", nullptr,
-     "replay every candidate from the initial configuration",
+     "minimize on the from-initial strict-replay oracle (same results)",
      [](SessionOptions &O, const char *) {
        O.Passes.Minimize.SeedReplays = false;
-       return true;
-     }},
-    {"--no-suffix-converge", nullptr,
-     "disable suffix-convergence rejoins in minimization",
-     [](SessionOptions &O, const char *) {
-       O.Passes.Minimize.SuffixConverge = false;
        return true;
      }},
     {"--prove-sps", nullptr,

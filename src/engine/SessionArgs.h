@@ -21,11 +21,33 @@
 
 #include "engine/CheckSession.h"
 
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace sct {
+
+/// Parses all of \p V as a T into \p Out.  Rejects the empty string,
+/// signs on unsigned types, trailing characters, and out-of-range values
+/// (std::from_chars reports those instead of wrapping); floating values
+/// (durations) must also be finite and non-negative.  The table's
+/// numeric rows and drivers' own numeric flags share it.
+template <typename T> bool parseNumber(const char *V, T &Out) {
+  const char *End = V + std::strlen(V);
+  T Tmp{};
+  auto [Ptr, Ec] = std::from_chars(V, End, Tmp);
+  if (V == End || Ec != std::errc() || Ptr != End)
+    return false;
+  if constexpr (std::is_floating_point_v<T>)
+    if (!std::isfinite(Tmp) || Tmp < 0)
+      return false;
+  Out = Tmp;
+  return true;
+}
 
 /// One row of the flag table.
 struct SessionFlag {

@@ -13,17 +13,23 @@
 
 #include "engine/WitnessMinimizer.h"
 
-#include "sched/WorkDeque.h"
-
 #include <algorithm>
+#include <atomic>
 #include <map>
-#include <random>
 #include <set>
 #include <thread>
 
 using namespace sct;
 
 namespace {
+
+/// A ladder rung is recorded every this many kept directives while a
+/// candidate's unedited prefix replays (the committed
+/// BENCH_MINIMIZER.json sweep's choice).
+constexpr size_t SeedInterval = 4;
+/// Cap on slice+ddmin+canonicalize fixpoint iterations: each pass is a
+/// no-op once the schedule is stable, so this is a safety rail only.
+constexpr unsigned MaxPasses = 8;
 
 class Minimizer {
 public:
@@ -48,19 +54,9 @@ public:
     ChainRungs.clear();
     if (Seeded) {
       adopt(std::move(Kept), std::move(KA));
-      for (unsigned Outer = 0; Outer < Opts.MaxPasses; ++Outer) {
-        for (unsigned Pass = 0; Pass < Opts.MaxPasses && !Exhausted;
-             ++Pass) {
-          Schedule Before = Cur;
-          if (Opts.SliceExcursions)
-            slice();
-          ddmin();
-          if (Opts.Canonicalize && !Exhausted)
-            canonicalize();
-          if (Cur == Before)
-            break; // Fixpoint: another pass would change nothing.
-        }
-        if (!Opts.SliceExcursions || !Opts.SlicePolish || Exhausted)
+      for (unsigned Outer = 0; Outer < MaxPasses; ++Outer) {
+        fixpoint(/*Slice=*/true);
+        if (Exhausted)
           break;
         // The polish round hops to the no-slice basin when that is
         // strictly shorter; a successful hop strictly shrinks Cur and
@@ -213,10 +209,10 @@ private:
     ++Replays;
     // Memo probe.  A hit still costs its replay from the budget
     // (incremented above) — the memo trades machine steps, not budget, so
-    // budget exhaustion fires at exactly the same candidate with the memo
-    // on or off and the search stays bit-for-bit reproducible.
+    // budget exhaustion fires at exactly the same candidate on the
+    // from-initial oracle and the search stays bit-for-bit reproducible.
     std::vector<uint64_t> Packed;
-    if (Opts.MemoizeCandidates) {
+    if (Opts.SeedReplays) {
       Packed = packSchedule(Cand);
       if (FailedCands.count(Packed))
         return false;
@@ -253,13 +249,12 @@ private:
     // rejoin probe below is one comparison per step instead of a tail
     // scan.
     size_t CommonSuffix = 0;
-    if (Opts.SuffixConverge)
+    if (Opts.SeedReplays)
       while (CommonSuffix < Cand.size() && CommonSuffix < Cur.size() &&
              Cand[Cand.size() - 1 - CommonSuffix] ==
                  Cur[Cur.size() - 1 - CommonSuffix])
         ++CommonSuffix;
-    size_t K = Opts.SeedInterval ? Opts.SeedInterval : 1;
-    size_t NextRung = SeedLen + K;
+    size_t NextRung = SeedLen + SeedInterval;
     for (size_t Pos = SeedLen; Pos < Cand.size(); ++Pos) {
       const Directive &D = Cand[Pos];
       // Adopt an explorer checkpoint once the seeding replay proves it:
@@ -282,7 +277,7 @@ private:
         if (!Rungs.count(Kept.size()))
           Rungs.emplace(Kept.size(),
                         std::make_shared<const Configuration>(C));
-        NextRung = Kept.size() + K;
+        NextRung = Kept.size() + SeedInterval;
       }
       AllocInfo A;
       if (D.isFetch())
@@ -335,7 +330,7 @@ private:
         }
       }
     }
-    if (Opts.MemoizeCandidates)
+    if (Opts.SeedReplays)
       FailedCands.insert(std::move(Packed));
     return false;
   }
@@ -491,14 +486,7 @@ private:
       if (!evaluate(Cand, Kept, KA) || Kept.size() > Cur.size())
         continue;
       adopt(std::move(Kept), std::move(KA));
-      for (unsigned Pass = 0; Pass < Opts.MaxPasses && !Exhausted; ++Pass) {
-        Schedule Before = Cur;
-        ddmin();
-        if (Opts.Canonicalize && !Exhausted)
-          canonicalize();
-        if (Cur == Before)
-          break;
-      }
+      fixpoint(/*Slice=*/false);
       if (Cur.size() < Saved.size()) {
         Improved = true;
         break; // Strictly better basin found; keep it.
@@ -515,6 +503,21 @@ private:
       CurAlloc = SavedAlloc;
       CurPosHash = std::move(SavedPosHash);
       Rungs = std::move(SavedRungs);
+    }
+  }
+
+  /// Iterates [slice +] ddmin + canonicalize until a pass changes nothing
+  /// (or MaxPasses / the replay budget runs out).
+  void fixpoint(bool Slice) {
+    for (unsigned Pass = 0; Pass < MaxPasses && !Exhausted; ++Pass) {
+      Schedule Before = Cur;
+      if (Slice)
+        slice();
+      ddmin();
+      if (!Exhausted)
+        canonicalize();
+      if (Cur == Before)
+        break; // Fixpoint: another pass would change nothing.
     }
   }
 
@@ -633,26 +636,21 @@ MinimizeStats sct::minimizeWitnesses(const Machine &M,
     return Stats;
   }
 
-  // Per-leak jobs on the explorer's work-stealing deques: worker W owns
-  // deque W preloaded round-robin, pops LIFO, and steals half a random
-  // victim's deque when dry.  Jobs never create jobs, so a worker exits
-  // once every deque probes empty.  Each worker replays through its own
-  // Configurations (COW forks of the shared Init — the same sharing
-  // discipline the explorer's frontier workers use) and fills only its
-  // jobs' MinSched slots; stats merge by summation at join.
-  StealQueue<size_t> Jobs(Workers);
-  for (size_t I = 0; I < Leaks.size(); ++I)
-    Jobs.push(static_cast<unsigned>(I % Workers), size_t(I));
+  // Per-leak jobs from one shared next-index: the job list never grows,
+  // so there is nothing to balance beyond handing out the next leak.
+  // Each worker replays through its own Configurations (COW forks of the
+  // shared Init — the same sharing discipline the explorer's frontier
+  // workers use) and fills only its jobs' MinSched slots; stats merge by
+  // summation at join.
+  std::atomic<size_t> Next{0};
   std::vector<MinimizeStats> PerWorker(Workers);
   std::vector<std::thread> Pool;
   Pool.reserve(Workers);
   for (unsigned Id = 0; Id < Workers; ++Id)
     Pool.emplace_back([&, Id] {
-      std::minstd_rand Rng(Id * 0x9e3779b9u + 0x1b873593u);
       for (;;) {
-        size_t Job;
-        if (!Jobs.tryPop(Id, Job) &&
-            !Jobs.trySteal(Id, static_cast<unsigned>(Rng()), Job))
+        size_t Job = Next.fetch_add(1, std::memory_order_relaxed);
+        if (Job >= Leaks.size())
           return;
         Leaks[Job].MinSched =
             minimizeWitness(M, Init, Leaks[Job], Opts, &PerWorker[Id]);

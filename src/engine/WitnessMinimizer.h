@@ -62,8 +62,8 @@
 /// configuration.  The minimizer keeps a ladder of mid-schedule
 /// checkpoints — seeded by the explorer's `SnapshotPolicy::Hybrid`
 /// checkpoint chain threaded through `LeakRecord::Ckpt`, and densified
-/// lazily with rungs recorded every `MinimizeOptions::SeedInterval` kept
-/// directives while prefixes replay — and starts each candidate replay
+/// lazily with rungs recorded every four kept directives while prefixes
+/// replay — and starts each candidate replay
 /// from the newest rung at or below the candidate's first edit (the
 /// prefix-validity bar: a rung is only used when the candidate has not
 /// edited any directive at or before it; rungs above an adopted edit are
@@ -83,8 +83,10 @@
 /// suffix `Cur[p..]`, the replay stops: the witness already proved that
 /// suffix replays strictly from that state to the target leak, so the
 /// candidate adopts `applied-prefix + Cur[p..]` unexecuted (see
-/// `MinimizeOptions::SuffixConverge` for the fingerprint caveat and
-/// `MinimizeStats::SuffixSkippedSteps` for the win).
+/// `MinimizeOptions::SeedReplays` for the fingerprint caveat and
+/// `MinimizeStats::SuffixSkippedSteps` for the win).  Seeding, rejoins
+/// and the failed-candidate memo share one switch,
+/// `MinimizeOptions::SeedReplays`; off is the from-initial oracle.
 ///
 /// Every candidate costs one replay of at most |schedule| machine steps;
 /// `MinimizeOptions::MaxReplays` bounds the total per witness.  When the
@@ -92,12 +94,10 @@
 /// still a valid witness, just possibly not 1-minimal.
 ///
 /// **Parallel minimization.**  The per-leak searches are independent, so
-/// `minimizeWitnesses` drains them as jobs from the same work-stealing
-/// deques the explorer's frontier uses (sched/WorkDeque.h) when
-/// `MinimizeOptions::Threads > 1`: each worker owns a deque of leak
-/// indices, steals half a random victim's when dry, and replays through
-/// its own per-worker `Configuration`s (copy-on-write forks of the shared
-/// initial state).  Each leak's result is a pure function of (machine,
+/// with `MinimizeOptions::Threads > 1` `minimizeWitnesses` hands leak
+/// indices to its workers from one shared atomic counter (the job list
+/// never grows) and each worker replays through its own
+/// `Configuration`s (copy-on-write forks of the shared initial state).  Each leak's result is a pure function of (machine,
 /// initial configuration, leak, options), so the minimized schedules are
 /// byte-identical at any thread count; `Threads <= 1` keeps the
 /// deterministic sequential order.  Per-worker `MinimizeStats` merge by
@@ -112,7 +112,8 @@
 
 namespace sct {
 
-/// Minimization knobs.
+/// Minimization knobs.  Excursion slicing, slice-polish and
+/// canonicalization always run; the pass structure is fixed.
 struct MinimizeOptions {
   /// Replay budget per witness: each candidate schedule costs one replay
   /// (seeded or not — seeding shortens a replay, it does not refund one).
@@ -120,66 +121,30 @@ struct MinimizeOptions {
   /// the worst case; the default comfortably minimizes every witness in
   /// the repo's suites.
   uint64_t MaxReplays = 1 << 14;
-  /// Run the per-directive canonicalization pass after ddmin.
-  bool Canonicalize = true;
-  /// Run the excursion slice pass before each ddmin pass.
-  bool SliceExcursions = true;
-  /// After the slice+ddmin+canonicalize fixpoint, run a polish round that
-  /// hops basins: each surviving branch guess is flipped at *equal*
-  /// length (the fixpoint's guess-flips only ever adopt strict shrinks)
-  /// and the no-slice passes rerun from there; the polished schedule is
-  /// kept only if strictly shorter, else the fixpoint result is restored
-  /// byte-for-byte.  Closes the ±2-directive gap the slice pass's own
-  /// 1-minimal fixpoint can leave against the no-slice optimum on some
-  /// bloated witnesses (same leak key; never longer; idempotence
-  /// preserved by the restore).
-  bool SlicePolish = true;
-  /// Seed candidate replays from mid-schedule checkpoints (the explorer's
-  /// hybrid chain via `LeakRecord::Ckpt` plus self-recorded rungs)
-  /// instead of always replaying from the initial configuration.  Off
-  /// reproduces the from-initial replay cost exactly; the minimized
-  /// schedules are identical either way.
+  /// Accelerated replays (on) vs. the from-initial strict-replay oracle
+  /// (off).  On, three step-saving devices engage together:
+  ///  - candidate replays start from mid-schedule checkpoints (the
+  ///    explorer's hybrid chain via `LeakRecord::Ckpt` plus rungs the
+  ///    minimizer records every few kept directives);
+  ///  - a replay whose state *rejoins* the adopted witness's state stream
+  ///    (fingerprint equality at a position whose remaining directives
+  ///    equal the candidate's remaining suffix) adopts that proven suffix
+  ///    unexecuted;
+  ///  - failed candidates are memoized exactly, so a re-proposed one
+  ///    skips its replay.
+  /// Off replays every candidate in full from the initial configuration
+  /// — the reference the tests compare against.  The minimized schedules
+  /// and replay counts are identical either way (a memo hit and a rejoin
+  /// each still count one replay against MaxReplays); only the machine
+  /// steps executed differ.  A rejoin's validity rests on 64-bit
+  /// fingerprint equality, the same avalanched-hash caveat as the
+  /// explorer's seen-state pruning.
   bool SeedReplays = true;
-  /// Early-accept a candidate replay as soon as its state *rejoins* the
-  /// adopted witness's state stream — fingerprint equality against the
-  /// per-position hashes recorded along the current witness — at a
-  /// position whose remaining directives are byte-identical to the
-  /// candidate's remaining suffix.  The rest of the replay is then known:
-  /// the adopted witness already proved that exact suffix replays
-  /// strictly from that exact state to the leak, so the candidate adopts
-  /// `applied-prefix + witness-suffix` without executing the suffix
-  /// again.  ddmin and canonicalize candidates edit a few positions and
-  /// keep long common tails, so most of their replay cost is this
-  /// re-execution; the rejoin check makes it O(1) per step (the
-  /// fingerprints are the engine's incremental hashes).  A hit still
-  /// counts one replay against MaxReplays and the minimized schedules
-  /// are byte-identical either way — only executed steps drop
-  /// (MinimizeStats::SuffixSkippedSteps).  Validity of a hit rests on
-  /// 64-bit fingerprint equality, the same avalanched-hash caveat as the
-  /// explorer's seen-state pruning; off restores the pure strict-replay
-  /// oracle.
-  bool SuffixConverge = true;
-  /// Remember failed candidates (exact directive sequences) and skip
-  /// their replays when the fixpoint loop re-proposes them — the
-  /// verification pass and canonicalize retries are then nearly free.
-  /// A memo hit still counts against MaxReplays, so the search visits
-  /// the same candidates in the same order with the memo on or off and
-  /// the minimized schedules are identical either way.
-  bool MemoizeCandidates = true;
-  /// Record a ladder rung every this many kept directives while a
-  /// candidate's unedited prefix replays (0 is treated as 1).  Smaller =
-  /// denser seeding, more checkpoint copies; the default follows the
-  /// committed BENCH_MINIMIZER.json sweep.
-  unsigned SeedInterval = 4;
   /// Worker threads for `minimizeWitnesses` batches: 0 or 1 minimizes
-  /// leaks sequentially in order; N > 1 drains per-leak jobs from
-  /// work-stealing deques.  0 additionally means "unset" to CheckSession,
+  /// leaks sequentially in order; N > 1 drains per-leak jobs from one
+  /// shared job index.  0 additionally means "unset" to CheckSession,
   /// which substitutes the session's frontier thread share.
   unsigned Threads = 0;
-  /// Upper bound on slice+ddmin+canonicalization fixpoint iterations
-  /// (each pass is a no-op once the schedule is stable; this is a safety
-  /// rail, not a tuning knob).
-  unsigned MaxPasses = 8;
 };
 
 /// What one (or an aggregated batch of) minimization(s) did.
@@ -198,7 +163,7 @@ struct MinimizeStats {
   /// Wrong-path excursions removed by the slice pass.
   uint64_t SlicedExcursions = 0;
   /// Candidate replays early-accepted by a suffix-convergence rejoin
-  /// (MinimizeOptions::SuffixConverge).
+  /// (MinimizeOptions::SeedReplays).
   uint64_t SuffixConvergences = 0;
   /// Directives those rejoins skipped instead of re-executing.
   uint64_t SuffixSkippedSteps = 0;
@@ -234,8 +199,7 @@ Schedule minimizeWitness(const Machine &M, const Configuration &Init,
 
 /// Minimizes every leak in \p Leaks in place, filling each
 /// `LeakRecord::MinSched`; returns the aggregated stats.  With
-/// `Opts.Threads > 1` the per-leak jobs run on a work-stealing worker
-/// pool; the filled schedules are byte-identical to the sequential order
+/// `Opts.Threads > 1` the per-leak jobs run on a worker pool; the filled schedules are byte-identical to the sequential order
 /// (each job is independent and deterministic).
 MinimizeStats minimizeWitnesses(const Machine &M, const Configuration &Init,
                                 std::vector<LeakRecord> &Leaks,

@@ -26,7 +26,13 @@
 // Configuration::hash() drops frontier candidates whose configuration was
 // already visited and cuts hazard re-executions short when they converge
 // onto a visited state — identical configurations have identical subtrees,
-// so the first visitor's exploration covers the twin's.
+// so the first visitor's exploration covers the twin's.  Both probes read
+// the incremental Configuration::hash() through a mutable configuration,
+// so the memoizing overload folds pending buffer terms once instead of
+// re-walking them at every probe (as the const overload would).
+//
+// A path that can neither fetch nor step — an empty buffer under
+// SpeculationBound 0 — ends the walk as Truncated instead of spinning.
 //
 //===----------------------------------------------------------------------===//
 
@@ -311,18 +317,6 @@ private:
   std::atomic<uint64_t> ForkNew{0};
   std::atomic<uint64_t> ForkDup{0};
 
-  /// The fingerprint probed at fork-filter and convergence sites.
-  /// FromScratchHashing swaps in the full-walk oracle — bit-identical
-  /// values (tests/HashEquivalenceTest.cpp), so leak sets and prunes
-  /// cannot differ; only the cost does.  This is StepRateBench's
-  /// hashing-sensitivity knob.  Takes a mutable configuration so the
-  /// incremental path hits the memoizing hash() overload — probing
-  /// through a const reference would re-walk the reorder buffer's
-  /// pending entries at every probe instead of folding them once.
-  uint64_t stateHash(Configuration &C) const {
-    return Opts.FromScratchHashing ? C.hashFromScratch() : C.hash();
-  }
-
   /// CollectStats: tallies a first-visit state at schedule depth \p Depth
   /// into the owning worker's histogram.
   void noteNewState(unsigned WorkerId, size_t Depth) {
@@ -570,7 +564,7 @@ private:
       if (Opts.PruneSeen) {
         if (Opts.CollectStats)
           ConvChecks.fetch_add(1, std::memory_order_relaxed);
-        Converged = seen().contains(stateHash(Pth.C));
+        Converged = seen().contains(Pth.C.hash());
       }
       if (Converged) {
         if (Opts.CollectStats)
@@ -724,6 +718,12 @@ private:
 
       bool CanFetch =
           Pth.C.Buf.size() < Opts.SpeculationBound && P.contains(Pth.C.N);
+      if (!CanFetch && Pth.C.Buf.empty()) {
+        // Nothing to fetch and nothing in flight to force (only reachable
+        // at SpeculationBound 0): this schedule cannot make progress.
+        TruncatedFlag.store(true, std::memory_order_relaxed);
+        return;
+      }
       if (CanFetch) {
         std::vector<Path> Forks;
         bool Alive = fetchAndDecide(Pth, Forks);
@@ -750,7 +750,7 @@ private:
               continue;
             }
             if (Opts.PruneSeen) {
-              uint64_t H = stateHash(F.C);
+              uint64_t H = F.C.hash();
               if (!seen().insert(H)) {
                 if (Opts.CollectStats)
                   ForkDup.fetch_add(1, std::memory_order_relaxed);
@@ -778,7 +778,7 @@ private:
             Alive = false;
           }
           if (Alive && Opts.PruneSeen) {
-            uint64_t H = stateHash(Pth.C);
+            uint64_t H = Pth.C.hash();
             if (!seen().insert(H)) {
               // The fall-through continuation converged onto a visited
               // state; its subtree is owned elsewhere.
@@ -844,9 +844,10 @@ private:
       // seen-table hashes of this fork, its siblings, and the parent all
       // reuse one folding pass instead of each recomputing the shared
       // entries' contributions.  Folding is internal state only — every
-      // hash value is identical either way.  Skipped when the incremental
-      // fingerprint is unused (from-scratch mode folds for nothing).
-      if (Opts.PruneSeen && !Opts.FromScratchHashing)
+      // hash value is identical either way
+      // (tests/HashEquivalenceTest.cpp).  Skipped when nothing probes the
+      // fingerprint.
+      if (Opts.PruneSeen)
         Pth.C.Buf.foldPending();
       Path F;
       F.C = Pth.C;

@@ -38,7 +38,8 @@
 /// drops frontier candidates whose configuration was already visited on
 /// any schedule — v4-mode hazard re-executions converge onto previously
 /// forked states constantly, and identical configurations have identical
-/// subtrees.
+/// subtrees.  Every probe reads the incremental fingerprint, which a
+/// parent folds once before forking so its copies share the work.
 ///
 /// Forks snapshot by copying the configuration (`SnapshotPolicy::Copy`;
 /// cheap now that memory is copy-on-write) or by prefix replay
@@ -125,7 +126,9 @@ enum class SnapshotPolicy : unsigned char {
 /// Exploration knobs (§4.2.1's two configurations are:
 /// {Bound=250, Hazards=false} and {Bound=20, Hazards=true}).
 struct ExplorerOptions {
-  /// Reorder-buffer size limit; bounds the depth of speculation.
+  /// Reorder-buffer size limit; bounds the depth of speculation.  0
+  /// leaves no room to fetch: explore() then stops at once with
+  /// `Truncated` set (the wire reader and sctcheck reject it outright).
   unsigned SpeculationBound = 20;
   /// Delay store-address resolution and explore forwarding hazards
   /// (Spectre v4).  The paper's "forwarding hazard detection": stores
@@ -219,17 +222,6 @@ struct ExplorerOptions {
   /// byte-identical with the filter on or off; `ReusePrunedNodes` counts
   /// what it saved.
   std::shared_ptr<const RemappedSeenFilter> Reuse;
-  /// Hashing-sensitivity knob: fingerprint states with
-  /// Configuration::hashFromScratch() (a full state walk) at every
-  /// fork-filter and convergence probe instead of the O(1)-amortized
-  /// incremental hash().  Both compute bit-identical values, so leak
-  /// sets and prune decisions cannot differ — only the cost does.
-  /// bench/StepRateBench.cpp sweeps it against the default to isolate
-  /// how much of the engine's step rate rides on probe cost (the >=2x
-  /// tentpole number there is measured against the pre-PR layout, not
-  /// this knob — lazy folding made the knob gap small on prune-heavy
-  /// trees because most entries retire unhashed either way).
-  bool FromScratchHashing = false;
   /// Collect ExploreStats (engages `ExploreResult::Stats`).  Off by
   /// default: the per-depth tallies cost a few atomics per fork, and the
   /// counters are a diagnosis tool (`sctcheck --stats`), not part of any

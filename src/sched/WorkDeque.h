@@ -23,9 +23,8 @@
 /// data-race-free (the CI ThreadSanitizer job holds the engine to that).
 /// What matters for contention is that workers share no global mutex: a
 /// worker's fast path touches only its own shard, and thieves contend
-/// only with the specific victim they probe.  The explorer's frontier at
-/// `Threads > 1` and the witness minimizer's per-leak job pool both run
-/// on it, one shard per worker.
+/// only with the specific victim they probe.  Its one user is the
+/// explorer's frontier at `Threads > 1`, one shard per worker.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -84,6 +84,22 @@ TEST(Explorer, BudgetsTruncateGracefully) {
   EXPECT_LE(R.TotalSteps, 12u); // Allow the in-flight step to finish.
 }
 
+TEST(Explorer, ZeroSpeculationBoundStopsTruncated) {
+  // A zero-entry reorder buffer can neither fetch nor hold anything to
+  // execute or retire: the walk must stop at once, flagged Truncated (a
+  // clean verdict here proves nothing), at any thread count.
+  SuiteCase C = spectreV11Cases()[0];
+  for (unsigned Threads : {1u, 4u}) {
+    ExplorerOptions Opts = v1v11Mode();
+    Opts.SpeculationBound = 0;
+    Opts.Threads = Threads;
+    ExploreResult R = exploreProgram(C.Prog, Opts);
+    EXPECT_TRUE(R.Truncated) << "Threads=" << Threads;
+    EXPECT_EQ(R.TotalSteps, 0u) << "Threads=" << Threads;
+    EXPECT_TRUE(R.Leaks.empty()) << "Threads=" << Threads;
+  }
+}
+
 TEST(Explorer, SpeculationBoundLimitsLeakDepth) {
   // A v1 gadget pushed deep behind the branch: a small speculation bound
   // cannot reach the leak, a larger one can — the tradeoff §4.2 reports.

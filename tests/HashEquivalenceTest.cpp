@@ -14,7 +14,8 @@
 //   - whole-configuration and per-component incremental == from-scratch
 //     after every single step;
 //   - copy-on-write sharing and unsharing (configuration copies that then
-//     diverge) preserves both sides' fingerprints;
+//     diverge, with or without the explorer's foldPending() before the
+//     copy) preserves both sides' fingerprints;
 //   - the remap-aware hash under an identity remap equals the plain hash
 //     (the full-walk fallback path used by mitigation re-check reuse);
 //   - the flat copy-on-write memory agrees with a reference map oracle on
@@ -95,27 +96,39 @@ TEST_P(HashEquivalence, CowUnsharePreservesBothFingerprints) {
 
   // Fork mid-run (the explorer's fork pattern: a plain copy, memory cells
   // COW-shared), then advance the two sides along different suffixes.
-  Configuration A = Init;
+  // The explorer folds the parent's pending buffer contributions before
+  // every fork under PruneSeen, so the copy then shares folded chunk
+  // refs; both shapes must keep both sides' fingerprints exact.
   size_t Half = R.Trace.size() / 2;
-  for (size_t I = 0; I < Half; ++I)
-    ASSERT_TRUE(M.step(A, R.Trace[I].D).has_value());
-  Configuration B = A;
-  EXPECT_TRUE(B.Mem.sharesCells() || A.Mem.cellCount() == 0);
-  ASSERT_EQ(A.hash(), B.hash());
+  for (bool FoldBeforeCopy : {false, true}) {
+    SCOPED_TRACE(FoldBeforeCopy ? "foldPending() before the copy"
+                                : "plain copy");
+    Configuration A = Init;
+    for (size_t I = 0; I < Half; ++I)
+      ASSERT_TRUE(M.step(A, R.Trace[I].D).has_value());
+    if (FoldBeforeCopy) {
+      uint64_t Unfolded = A.hashFromScratch();
+      A.Buf.foldPending();
+      ASSERT_EQ(A.hash(), Unfolded);
+    }
+    Configuration B = A;
+    EXPECT_TRUE(B.Mem.sharesCells() || A.Mem.cellCount() == 0);
+    ASSERT_EQ(A.hash(), B.hash());
 
-  for (size_t I = Half; I < R.Trace.size(); ++I)
-    ASSERT_TRUE(M.step(A, R.Trace[I].D).has_value());
+    for (size_t I = Half; I < R.Trace.size(); ++I)
+      ASSERT_TRUE(M.step(A, R.Trace[I].D).has_value());
 
-  RandomRunOptions BOpts;
-  BOpts.Seed = Seed * 613 + 41;
-  BOpts.MaxSteps = 100;
-  RunResult RB = runRandom(M, B, BOpts);
-  for (const StepRecord &S : RB.Trace)
-    ASSERT_TRUE(M.step(B, S.D).has_value());
+    RandomRunOptions BOpts;
+    BOpts.Seed = Seed * 613 + 41;
+    BOpts.MaxSteps = 100;
+    RunResult RB = runRandom(M, B, BOpts);
+    for (const StepRecord &S : RB.Trace)
+      ASSERT_TRUE(M.step(B, S.D).has_value());
 
-  // Both sides' incremental fingerprints survived the unsharing writes.
-  expectHashesMatchScratch(A, Seed, Half + 1000);
-  expectHashesMatchScratch(B, Seed, Half + 2000);
+    // Both sides' incremental fingerprints survived the unsharing writes.
+    expectHashesMatchScratch(A, Seed, Half + 1000);
+    expectHashesMatchScratch(B, Seed, Half + 2000);
+  }
 }
 
 /// The trivial remap: every point maps to itself.  Under it the

@@ -170,10 +170,10 @@ ExploreResult exploreWithChains(const Machine &M, const Configuration &Init,
 }
 
 TEST(Minimizer, SeededParallelMatchesSequentialFromInitial) {
-  // The acceptance criterion verbatim: parallel minimization at Threads
-  // in {2, 8} and checkpoint-seeded (plus memoized) replays produce
+  // Parallel minimization at Threads in {2, 8} and accelerated replays
+  // (checkpoint seeding, suffix rejoins, candidate memo) produce
   // byte-identical MinSched per leak key vs the sequential from-initial
-  // baseline, on every Kocher variant in both modes.  The stats must
+  // oracle, on every Kocher variant in both modes.  The stats must
   // agree too — Replays exactly (the search visits the same candidates
   // in the same order), raw/minimized totals trivially.
   size_t Corpora = 0;
@@ -189,15 +189,14 @@ TEST(Minimizer, SeededParallelMatchesSequentialFromInitial) {
       MinimizeOptions SeqOpts;
       SeqOpts.Threads = 1;
       SeqOpts.SeedReplays = false;
-      SeqOpts.MemoizeCandidates = false;
       MinimizeStats SeqStats = minimizeWitnesses(M, Init, Baseline, SeqOpts);
       EXPECT_EQ(SeqStats.SeededSteps, 0u) << C.Id;
+      EXPECT_EQ(SeqStats.SuffixConvergences, 0u) << C.Id;
       for (unsigned Threads : {1u, 2u, 8u}) {
         std::vector<LeakRecord> Par = R.Leaks;
         MinimizeOptions ParOpts;
         ParOpts.Threads = Threads;
         ParOpts.SeedReplays = true;
-        ParOpts.MemoizeCandidates = true;
         MinimizeStats ParStats = minimizeWitnesses(M, Init, Par, ParOpts);
         ASSERT_EQ(Par.size(), Baseline.size());
         for (size_t I = 0; I < Par.size(); ++I) {
@@ -311,41 +310,6 @@ TEST(Minimizer, SlicingIsIdempotentAndNeverLengthens) {
 
 //===-------------------------------------------------------- effectiveness ---===//
 
-TEST(Minimizer, SlicePolishNeverLongerAndOftenShorter) {
-  // The slice-polish pass (ROADMAP open item 4): the slice fixpoint is
-  // 1-minimal only in its own basin — flipped predictions, kept rollback
-  // executes — and on some bloated witnesses lands above the no-slice
-  // optimum.  Polish hops basins via equal-length guess flips and keeps
-  // the result only on a strict win.  Contract: never longer than plain
-  // slicing, identical leak key, and on this deterministic corpus it
-  // must actually win somewhere (measured: shorter on 17 of 22
-  // witnesses, pulling the average below even the no-slice optimum —
-  // two isolated witnesses keep a residual gap of at most +2).
-  unsigned Shorter = 0, Total = 0;
-  for (const SuiteCase &C : allKocher()) {
-    Machine M(C.Prog);
-    Configuration Init = Configuration::initial(C.Prog);
-    for (uint64_t Seed = 1; Seed <= 60; ++Seed) {
-      std::optional<LeakRecord> Raw = bloatedWitness(M, Init, Seed, 24);
-      if (!Raw)
-        continue;
-      MinimizeOptions NoPolish;
-      NoPolish.SlicePolish = false;
-      Schedule Sliced = minimizeWitness(M, Init, *Raw, NoPolish);
-      Schedule Polished = minimizeWitness(M, Init, *Raw);
-      ASSERT_FALSE(Polished.empty()) << C.Id << " seed " << Seed;
-      EXPECT_LE(Polished.size(), Sliced.size()) << C.Id << " seed " << Seed;
-      std::optional<uint64_t> Key = finalLeakKey(M, Init, Polished);
-      ASSERT_TRUE(Key.has_value()) << C.Id;
-      EXPECT_EQ(*Key, Raw->key()) << C.Id;
-      ++Total;
-      Shorter += Polished.size() < Sliced.size();
-    }
-  }
-  ASSERT_GE(Total, 10u);
-  EXPECT_GE(Shorter, 5u) << "polish found no basin worth hopping to";
-}
-
 TEST(Minimizer, BloatedRandomWitnessesShrinkPastHalfMedian) {
   // Random well-formed schedules that stumble into a leak carry the junk
   // the explorer's depth-first prefixes mostly avoid: unrelated
@@ -383,11 +347,12 @@ TEST(Minimizer, BloatedRandomWitnessesShrinkPastHalfMedian) {
 }
 
 TEST(Minimizer, SuffixConvergenceCutsReplayedStepsNotResults) {
-  // The rejoin optimization must be invisible in results: on the bloated
-  // random-witness corpus, minimizing with SuffixConverge on and off
-  // yields byte-identical schedules and identical replay counts (the
-  // search proposes the same candidates in the same order) — only the
-  // machine steps executed drop, because candidates that share a long
+  // The accelerated replays must be invisible in results: on the
+  // bloated random-witness corpus, minimizing with SeedReplays on and off
+  // (the from-initial oracle: no seeding, no rejoins, no memo) yields
+  // byte-identical schedules and identical replay counts (the search
+  // proposes the same candidates in the same order) — only the machine
+  // steps executed drop, partly because candidates that share a long
   // tail with the current witness stop at the rejoin instead of
   // re-executing it.
   uint64_t StepsOn = 0, StepsOff = 0, Rejoins = 0, Witnesses = 0;
@@ -401,9 +366,9 @@ TEST(Minimizer, SuffixConvergenceCutsReplayedStepsNotResults) {
         continue;
       ++Witnesses;
       MinimizeOptions On;
-      On.SuffixConverge = true;
+      On.SeedReplays = true;
       MinimizeOptions Off;
-      Off.SuffixConverge = false;
+      Off.SeedReplays = false;
       MinimizeStats SOn, SOff;
       Schedule MinOn = minimizeWitness(M, Init, *Raw, On, &SOn);
       Schedule MinOff = minimizeWitness(M, Init, *Raw, Off, &SOff);
@@ -411,6 +376,7 @@ TEST(Minimizer, SuffixConvergenceCutsReplayedStepsNotResults) {
       EXPECT_EQ(MinOn, MinOff) << C.Id << " seed " << Seed;
       EXPECT_EQ(SOn.Replays, SOff.Replays) << C.Id << " seed " << Seed;
       EXPECT_EQ(SOff.SuffixConvergences, 0u);
+      EXPECT_EQ(SOff.SeededSteps, 0u);
       StepsOn += SOn.ReplayedSteps;
       StepsOff += SOff.ReplayedSteps;
       Rejoins += SOn.SuffixConvergences;
@@ -506,15 +472,13 @@ TEST(Minimizer, SessionThreadsChainAndFlagsPlumbThrough) {
     ParMin[L.key()] = L.MinSched;
   EXPECT_EQ(SeqMin, ParMin);
 
-  // The CLI surface: --minimize-threads pins the pool,
-  // --no-slice-excursions and --no-seed-replays disable their passes.
-  const char *Argv[] = {"bench",  "--minimize-witnesses",
-                        "--minimize-threads", "4",
-                        "--no-slice-excursions", "--no-seed-replays"};
-  SessionOptions SOpts = sessionOptionsFromArgs(6, const_cast<char **>(Argv));
+  // The CLI surface: --minimize-threads pins the pool and
+  // --no-seed-replays selects the from-initial oracle.
+  const char *Argv[] = {"bench", "--minimize-witnesses", "--minimize-threads",
+                        "4", "--no-seed-replays"};
+  SessionOptions SOpts = sessionOptionsFromArgs(5, const_cast<char **>(Argv));
   EXPECT_TRUE(SOpts.Passes.MinimizeWitnesses);
   EXPECT_EQ(SOpts.Passes.Minimize.Threads, 4u);
-  EXPECT_FALSE(SOpts.Passes.Minimize.SliceExcursions);
   EXPECT_FALSE(SOpts.Passes.Minimize.SeedReplays);
 }
 

@@ -159,7 +159,6 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   E.RecordCheckpointChain = true;
   E.PruneSeen = false;
   E.ExportSeenStates = true;
-  E.FromScratchHashing = true;
   E.CollectStats = true;
 
   ByteWriter W;
@@ -175,6 +174,7 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   EXPECT_EQ(E2.IndirectTargets, E.IndirectTargets);
   EXPECT_EQ(E2.Snapshots, SnapshotPolicy::Hybrid);
   EXPECT_EQ(E2.MaxLeaks, 99u);
+  EXPECT_TRUE(E2.CollectStats);
 
   MachineOptions M;
   M.Addressing = AddrMode::BaseIndexScale;
@@ -195,7 +195,7 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   PassConfig P;
   P.MinimizeWitnesses = true;
   P.Minimize.MaxReplays = 42;
-  P.Minimize.SliceExcursions = false;
+  P.Minimize.SeedReplays = false;
   P.Minimize.Threads = 3;
   P.ProveSps = true;
   P.Sps.MaxTapes = 17;
@@ -208,7 +208,8 @@ TEST(Serialization, OptionsRoundTripWithEveryFieldPerturbed) {
   ASSERT_TRUE(RP.done());
   EXPECT_TRUE(P2.MinimizeWitnesses);
   EXPECT_EQ(P2.Minimize.MaxReplays, 42u);
-  EXPECT_FALSE(P2.Minimize.SliceExcursions);
+  EXPECT_FALSE(P2.Minimize.SeedReplays);
+  EXPECT_EQ(P2.Minimize.Threads, 3u);
   EXPECT_TRUE(P2.ProveSps);
   EXPECT_EQ(P2.Sps.MaxTapes, 17u);
   EXPECT_TRUE(P2.Sps.DepthToWindow);
@@ -334,14 +335,18 @@ TEST(Serialization, ResultRejectsVersionSkewAndBitFlips) {
   Skew[0] ^= 1; // Version header.
   EXPECT_FALSE(deserializeCheckResult(Skew).has_value());
 
-  // A result stamped with format version 2 (which still encoded
-  // ExplorerOptions::Shards and numbered SnapshotPolicy::Hybrid 2) is
-  // rejected outright, never misparsed as version 3.
-  ByteWriter V2;
-  V2.u32(2);
-  std::vector<uint8_t> Old = Bytes;
-  std::copy(V2.buffer().begin(), V2.buffer().end(), Old.begin());
-  EXPECT_FALSE(deserializeCheckResult(Old).has_value());
+  // Results stamped with older format versions are rejected outright,
+  // never misparsed as the current one: version 2 still encoded
+  // ExplorerOptions::Shards and numbered SnapshotPolicy::Hybrid 2;
+  // version 3 still encoded ExplorerOptions::FromScratchHashing and ten
+  // MinimizeOptions fields.
+  for (uint32_t Stale : {2u, 3u}) {
+    ByteWriter V;
+    V.u32(Stale);
+    std::vector<uint8_t> Old = Bytes;
+    std::copy(V.buffer().begin(), V.buffer().end(), Old.begin());
+    EXPECT_FALSE(deserializeCheckResult(Old).has_value()) << "v" << Stale;
+  }
 
   // Truncation at every length must fail or fully account for the bytes;
   // the trailing-byte check (done()) rejects prefix-parses.
@@ -373,6 +378,14 @@ TEST(Serialization, WireRequestCarriesResolvedPasses) {
   EXPECT_TRUE(W->Passes.MinimizeWitnesses);
   EXPECT_EQ(W->Passes.Minimize.MaxReplays, 1234u);
   expectProgramsEqual(Req.Prog, W->Prog);
+
+  // A request with speculation bound 0 can never fetch: the worker-side
+  // reader rejects it as a corrupt payload instead of starting a walk
+  // that cannot run.
+  CheckRequest Zero = Req;
+  Zero.Opts.SpeculationBound = 0;
+  EXPECT_FALSE(
+      deserializeWireRequest(serializeWireRequest(Zero, Passes)).has_value());
 
   // Non-wireable requests: custom Init / reuse / export.
   CheckRequest WithInit = Req;
@@ -488,14 +501,16 @@ TEST(ResultCacheTest, CorruptedAndTruncatedEntriesAreMisses) {
     EXPECT_FALSE(Cache.lookup(*Key).has_value()) << "len " << Len;
   }
 
-  // An entry stamped with format version 2 at the same address (the
-  // version sits right after the 4-byte magic) is a miss.
-  ByteWriter V2;
-  V2.u32(2);
-  std::vector<char> Old = Bytes;
-  std::copy(V2.buffer().begin(), V2.buffer().end(), Old.begin() + 4);
-  WriteEntry(Old);
-  EXPECT_FALSE(Cache.lookup(*Key).has_value());
+  // Entries stamped with format version 2 or 3 at the same address (the
+  // version sits right after the 4-byte magic) are misses.
+  for (uint32_t Stale : {2u, 3u}) {
+    ByteWriter V;
+    V.u32(Stale);
+    std::vector<char> Old = Bytes;
+    std::copy(V.buffer().begin(), V.buffer().end(), Old.begin() + 4);
+    WriteEntry(Old);
+    EXPECT_FALSE(Cache.lookup(*Key).has_value()) << "v" << Stale;
+  }
 
   // Restore the pristine bytes: hits again (the file, not some in-memory
   // state, is what is being validated).
