@@ -6,6 +6,7 @@
 #include "engine/ResultCache.h"
 #include "engine/Serialization.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -62,8 +63,8 @@ CheckResult CheckSession::runOne(const CheckRequest &Req,
   MinimizeOptions MinOpts = Passes.Minimize;
   // The minimizer seeds its ddmin replays from the explorer's hybrid
   // checkpoints; chain them up (LeakRecord::Ckpt) whenever minimization
-  // will consume them.  Copy/Replay explorations have no checkpoints —
-  // the minimizer then builds its ladder from scratch.
+  // will consume them.  Copy explorations have no checkpoints — the
+  // minimizer then builds its ladder from scratch.
   if (Passes.MinimizeWitnesses && MinOpts.SeedReplays &&
       Res.Opts.Snapshots == SnapshotPolicy::Hybrid)
     Res.Opts.RecordCheckpointChain = true;
@@ -88,23 +89,31 @@ CheckResult CheckSession::runOne(const CheckRequest &Req,
   return Res;
 }
 
-CheckResult CheckSession::runOneCached(const CheckRequest &Req,
-                                       unsigned FrontierThreads) const {
+std::optional<CheckResult>
+CheckSession::lookupCached(const CheckRequest &Req) const {
   if (!Cache)
-    return runOne(Req, FrontierThreads);
-  const PassConfig &Passes = Req.resolved(Opts);
-  if (std::optional<CheckResult> Hit = Cache->lookupResult(Req, Passes)) {
+    return std::nullopt;
+  std::optional<CheckResult> Hit =
+      Cache->lookupResult(Req, Req.resolved(Opts));
+  if (Hit) {
     Hit->Id = Req.Id;
     Hit->FromCache = true;
-    return std::move(*Hit);
   }
+  return Hit;
+}
+
+CheckResult CheckSession::runAndStore(const CheckRequest &Req,
+                                      unsigned FrontierThreads) const {
   CheckResult Res = runOne(Req, FrontierThreads);
-  Cache->storeResult(Req, Passes, Res);
+  if (Cache)
+    Cache->storeResult(Req, Req.resolved(Opts), Res);
   return Res;
 }
 
 CheckResult CheckSession::check(const CheckRequest &Req) const {
-  return runOneCached(Req, Opts.Threads);
+  if (std::optional<CheckResult> Hit = lookupCached(Req))
+    return std::move(*Hit);
+  return runAndStore(Req, Opts.Threads);
 }
 
 CheckResult CheckSession::check(const Program &P) const {
@@ -160,11 +169,15 @@ bool CheckSession::runOnWorkers(std::span<const CheckRequest> Reqs,
   // share the shipped request carried, so the result is one the worker
   // would have produced.
   for (size_t I : Fallback)
-    Results[I] = runOne(Reqs[I], PerProgram);
+    Results[I] = runAndStore(Reqs[I], PerProgram);
 
+  // The workers' results are stored once the pool has drained, so no
+  // cache write sits between a reply and the next dispatch.  Fallback
+  // is in ascending job order.
   if (Cache)
     for (size_t I : Pending)
-      Cache->storeResult(Reqs[I], Reqs[I].resolved(Opts), Results[I]);
+      if (!std::binary_search(Fallback.begin(), Fallback.end(), I))
+        Cache->storeResult(Reqs[I], Reqs[I].resolved(Opts), Results[I]);
   return true;
 }
 
@@ -178,16 +191,10 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
   std::vector<size_t> Pending;
   Pending.reserve(Reqs.size());
   for (size_t I = 0; I < Reqs.size(); ++I) {
-    if (Cache) {
-      if (std::optional<CheckResult> Hit =
-              Cache->lookupResult(Reqs[I], Reqs[I].resolved(Opts))) {
-        Hit->Id = Reqs[I].Id;
-        Hit->FromCache = true;
-        Results[I] = std::move(*Hit);
-        continue;
-      }
-    }
-    Pending.push_back(I);
+    if (std::optional<CheckResult> Hit = lookupCached(Reqs[I]))
+      Results[I] = std::move(*Hit);
+    else
+      Pending.push_back(I);
   }
   if (Pending.empty())
     return Results;
@@ -205,19 +212,13 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
       return Results;
   }
 
-  auto ComputeAndStore = [&](size_t I, unsigned FrontierThreads) {
-    Results[I] = runOne(Reqs[I], FrontierThreads);
-    if (Cache)
-      Cache->storeResult(Reqs[I], Reqs[I].resolved(Opts), Results[I]);
-  };
-
   // Split the budget: program-level fan-out first, leftover threads go to
   // each program's frontier.
   unsigned PoolSize =
       static_cast<unsigned>(std::min<size_t>(Opts.Threads, Pending.size()));
   if (PoolSize <= 1) {
     for (size_t I : Pending)
-      ComputeAndStore(I, Opts.Threads);
+      Results[I] = runAndStore(Reqs[I], Opts.Threads);
     return Results;
   }
   unsigned PerProgram = Opts.Threads / PoolSize;
@@ -230,7 +231,7 @@ CheckSession::checkMany(std::span<const CheckRequest> Reqs) const {
       size_t N = NextReq.fetch_add(1, std::memory_order_relaxed);
       if (N >= Pending.size())
         return;
-      ComputeAndStore(Pending[N], PerProgram);
+      Results[Pending[N]] = runAndStore(Reqs[Pending[N]], PerProgram);
     }
   };
   std::vector<std::thread> Pool;

@@ -234,9 +234,13 @@ private:
   std::unique_ptr<ResultCache> Cache;
 
   CheckResult runOne(const CheckRequest &Req, unsigned FrontierThreads) const;
-  /// runOne plus cache lookup/store (no-op without an open cache).
-  CheckResult runOneCached(const CheckRequest &Req,
-                           unsigned FrontierThreads) const;
+  /// The cache half of a check: \p Req's entry, stamped with its Id and
+  /// FromCache, or nullopt on a miss, an uncacheable request, or no open
+  /// cache.
+  std::optional<CheckResult> lookupCached(const CheckRequest &Req) const;
+  /// The compute half: runOne, then a store when a cache is open.
+  CheckResult runAndStore(const CheckRequest &Req,
+                          unsigned FrontierThreads) const;
   /// Dispatches \p Pending (indices into \p Reqs) to a process pool;
   /// returns false when no pool could be built (caller falls back to the
   /// in-process path).  Computed results land in \p Results and the

@@ -24,8 +24,8 @@ using namespace sct;
 namespace {
 
 /// A ladder rung is recorded every this many kept directives while a
-/// candidate's unedited prefix replays (the committed
-/// BENCH_MINIMIZER.json sweep's choice).
+/// candidate's unedited prefix replays (the interval a sweep chose when
+/// checkpoint seeding was added in commit f983ac9).
 constexpr size_t SeedInterval = 4;
 /// Cap on slice+ddmin+canonicalize fixpoint iterations: each pass is a
 /// no-op once the schedule is stable, so this is a safety rail only.

@@ -118,8 +118,8 @@ enum class SnapshotPolicy : unsigned char {
   /// the directive prefix plus a reference to the nearest checkpoint and
   /// re-derive their configuration by replaying at most ~K directives
   /// from it.  Bounds replay CPU by K and frontier memory by one shared
-  /// checkpoint per K directives of path progress — the middle ground the
-  /// K-sweep in bench/SnapshotBench.cpp measures.
+  /// checkpoint per K directives of path progress — the middle ground
+  /// between Copy and whole-prefix replay.
   Hybrid,
 };
 
@@ -182,7 +182,10 @@ struct ExplorerOptions {
   /// directives.  Smaller = more checkpoint memory, less replay CPU;
   /// 0 is treated as 1 (every node checkpoints, ≈ Copy with sharing) and
   /// UINT_MAX replays every node's whole prefix from the root checkpoint.
-  /// The default follows the committed BENCH_SNAPSHOT.json K-sweep.
+  /// The default 16 comes from a K = 1..64 sweep over four trees when the
+  /// policy was added (commit eb0100c): on mee-c v4 it replayed 13,695
+  /// directives against whole-prefix replay's 146,649 and published 6,482
+  /// checkpoints against K = 1's 72,574.
   unsigned CheckpointInterval = 16;
   /// Hybrid snapshots only: link every published checkpoint to the one it
   /// superseded and hand the chain head to each `LeakRecord` (see
@@ -202,9 +205,11 @@ struct ExplorerOptions {
   /// run that would truncate anyway may truncate at a different point —
   /// `Truncated` reports it either way.  On by default (it preserves the
   /// leak set everywhere tested and completes previously budget-truncated
-  /// trees, see BENCH_CONTENTION.json); opt out with `--no-prune-seen` or
-  /// `PruneSeen = false` when exploration statistics must match the
-  /// unpruned engine exactly.
+  /// trees: mee-c in v4 mode falls from the 8.4M-step budget to ~115k
+  /// steps, measured when pruning was added in commit 3024a65, and
+  /// tests/EngineTest.cpp checks its leak keys at 4 and 8 threads); opt
+  /// out with `--no-prune-seen` or `PruneSeen = false` when exploration
+  /// statistics must match the unpruned engine exactly.
   bool PruneSeen = true;
   /// Export this run's seen-state table and its leaky-below subset in
   /// `ExploreResult::SeenExport` (sched/SeenStates.h).  Requires PruneSeen
@@ -321,8 +326,8 @@ struct ExploreResult {
   /// Hybrid snapshots.  Replayed steps never touch budgets, leak
   /// recording, or TotalSteps — they re-derive state already accounted.
   uint64_t ReplaySteps = 0;
-  /// Full-configuration checkpoints published by the Hybrid policy (the
-  /// frontier-memory proxy bench/SnapshotBench.cpp sweeps).
+  /// Full-configuration checkpoints published by the Hybrid policy (its
+  /// frontier-memory proxy).
   uint64_t Checkpoints = 0;
   /// Frontier candidates dropped (and hazard re-executions cut short)
   /// because a prior exploration's exported table covered them

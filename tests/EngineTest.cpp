@@ -13,6 +13,7 @@
 #include "checker/DifferentialChecker.h"
 #include "checker/SctChecker.h"
 #include "isa/AsmParser.h"
+#include "workloads/CryptoLibs.h"
 #include "workloads/Figures.h"
 #include "workloads/Kocher.h"
 #include "workloads/SuiteRunner.h"
@@ -34,6 +35,15 @@ std::set<std::pair<PC, unsigned>> leakSet(const ExploreResult &R) {
   std::set<std::pair<PC, unsigned>> S;
   for (const LeakRecord &L : R.Leaks)
     S.insert({L.Origin, static_cast<unsigned>(L.Rule)});
+  return S;
+}
+
+/// The finer identity: every leak's LeakRecord::key(), which adds the
+/// observation kind and its taint to the origin and rule.
+std::set<uint64_t> leakKeys(const ExploreResult &R) {
+  std::set<uint64_t> S;
+  for (const LeakRecord &L : R.Leaks)
+    S.insert(L.key());
   return S;
 }
 
@@ -104,7 +114,8 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
   // For every Kocher variant in both modes, the work-stealing frontier —
   // at Threads=8 with and without cross-schedule seen-state pruning, and
   // at odd worker counts that leave steal victims unevenly loaded —
-  // reports the deduplicated leak set of the sequential drain.
+  // reports the deduplicated leak set of the sequential drain.  The v4
+  // crypto trees below check the same at production scale.
   std::vector<SuiteCase> Cases = kocherCases();
   for (const SuiteCase &C : kocherOriginalCases())
     Cases.push_back(C);
@@ -146,6 +157,24 @@ TEST(ParallelEngine, KocherLeakSetsMatchUnderStealingAndPruning) {
       ExploreResult E2 = exploreProgram(C.Prog, SeqPrune);
       EXPECT_EQ(E.TotalSteps, E2.TotalSteps) << C.Id << Mode;
       EXPECT_EQ(E.PrunedNodes, E2.PrunedNodes) << C.Id << Mode;
+    }
+  }
+
+  // The two largest crypto trees in v4 mode, pruned (unpruned, both run
+  // into the step budget): 4 and 8 stealing workers report the
+  // sequential pruned drain's leaks, key for key.
+  for (const SuiteCase &C : {meeC(), ssl3C()}) {
+    ExplorerOptions SeqPrune = v4Mode();
+    SeqPrune.Threads = 1;
+    SeqPrune.PruneSeen = true;
+    ExploreResult Ref = exploreProgram(C.Prog, SeqPrune);
+    EXPECT_FALSE(Ref.Truncated) << C.Id;
+    EXPECT_FALSE(Ref.Leaks.empty()) << C.Id;
+    for (unsigned Threads : {4u, 8u}) {
+      ExplorerOptions Par = SeqPrune;
+      Par.Threads = Threads;
+      EXPECT_EQ(leakKeys(Ref), leakKeys(exploreProgram(C.Prog, Par)))
+          << C.Id << " v4 stealing+pruning, Threads=" << Threads;
     }
   }
 }

@@ -8,8 +8,9 @@
 //  - equivalence: parallel minimization (Threads in {2, 8}),
 //    checkpoint-seeded replays, and the candidate memo produce
 //    byte-identical MinSched per leak key vs the sequential from-initial
-//    baseline, on every Kocher variant in both modes — with identical
-//    stats counters, since the search must visit the same candidates;
+//    baseline, on every Kocher variant in both modes and the deep v4
+//    trees of ssl3-c and mee-c — with identical stats counters, since
+//    the search must visit the same candidates;
 //  - excursion slicing: idempotent, never lengthens a witness, still
 //    replays to the identical key, and actually fires on
 //    nested-speculation witnesses;
@@ -80,8 +81,7 @@ std::optional<uint64_t> finalLeakKey(const Machine &M,
 /// and replays its trace to the first secret observation, exactly how
 /// the explorer records a raw witness.  Returns nullopt when the run
 /// never leaks or the prefix is shorter than \p MinLen (short accidental
-/// witnesses are not the bloated case minimization exists for).  The
-/// same recipe feeds bench/MinimizerBench's corpus.
+/// witnesses are not the bloated case minimization exists for).
 std::optional<LeakRecord> bloatedWitness(const Machine &M,
                                          const Configuration &Init,
                                          uint64_t Seed, size_t MinLen,
@@ -173,50 +173,55 @@ TEST(Minimizer, SeededParallelMatchesSequentialFromInitial) {
   // Parallel minimization at Threads in {2, 8} and accelerated replays
   // (checkpoint seeding, suffix rejoins, candidate memo) produce
   // byte-identical MinSched per leak key vs the sequential from-initial
-  // oracle, on every Kocher variant in both modes.  The stats must
-  // agree too — Replays exactly (the search visits the same candidates
-  // in the same order), raw/minimized totals trivially.
+  // oracle, on every Kocher variant in both modes and on the deep v4
+  // trees of ssl3-c and mee-c.  The stats must agree too — Replays
+  // exactly (the search visits the same candidates in the same order),
+  // raw/minimized totals trivially.
+  std::vector<std::pair<SuiteCase, ExplorerOptions>> Inputs;
+  for (const SuiteCase &C : allKocher())
+    for (auto ModeFn : {v1v11Mode, v4Mode})
+      Inputs.push_back({C, ModeFn()});
+  Inputs.push_back({ssl3C(), v4Mode()});
+  Inputs.push_back({meeC(), v4Mode()});
   size_t Corpora = 0;
-  for (const SuiteCase &C : allKocher()) {
+  for (const auto &[C, Mode] : Inputs) {
     Machine M(C.Prog);
     Configuration Init = Configuration::initial(C.Prog);
-    for (auto ModeFn : {v1v11Mode, v4Mode}) {
-      ExploreResult R = exploreWithChains(M, Init, ModeFn());
-      if (R.Leaks.empty())
-        continue;
-      ++Corpora;
-      std::vector<LeakRecord> Baseline = R.Leaks;
-      MinimizeOptions SeqOpts;
-      SeqOpts.Threads = 1;
-      SeqOpts.SeedReplays = false;
-      MinimizeStats SeqStats = minimizeWitnesses(M, Init, Baseline, SeqOpts);
-      EXPECT_EQ(SeqStats.SeededSteps, 0u) << C.Id;
-      EXPECT_EQ(SeqStats.SuffixConvergences, 0u) << C.Id;
-      for (unsigned Threads : {1u, 2u, 8u}) {
-        std::vector<LeakRecord> Par = R.Leaks;
-        MinimizeOptions ParOpts;
-        ParOpts.Threads = Threads;
-        ParOpts.SeedReplays = true;
-        MinimizeStats ParStats = minimizeWitnesses(M, Init, Par, ParOpts);
-        ASSERT_EQ(Par.size(), Baseline.size());
-        for (size_t I = 0; I < Par.size(); ++I) {
-          EXPECT_EQ(Par[I].key(), Baseline[I].key()) << C.Id;
-          EXPECT_EQ(Par[I].MinSched, Baseline[I].MinSched)
-              << C.Id << " leak " << I << " Threads=" << Threads;
-        }
-        EXPECT_EQ(ParStats.Replays, SeqStats.Replays) << C.Id;
-        EXPECT_EQ(ParStats.RawDirectives, SeqStats.RawDirectives) << C.Id;
-        EXPECT_EQ(ParStats.MinimizedDirectives,
-                  SeqStats.MinimizedDirectives)
-            << C.Id;
-        // Seeding must actually engage somewhere (witnesses of length
-        // >= one rung interval exist in every corpus).
-        EXPECT_GT(ParStats.SeededSteps + ParStats.ReplayedSteps, 0u);
-        EXPECT_LE(ParStats.ReplayedSteps, SeqStats.ReplayedSteps) << C.Id;
+    ExploreResult R = exploreWithChains(M, Init, Mode);
+    if (R.Leaks.empty())
+      continue;
+    ++Corpora;
+    std::vector<LeakRecord> Baseline = R.Leaks;
+    MinimizeOptions SeqOpts;
+    SeqOpts.Threads = 1;
+    SeqOpts.SeedReplays = false;
+    MinimizeStats SeqStats = minimizeWitnesses(M, Init, Baseline, SeqOpts);
+    EXPECT_EQ(SeqStats.SeededSteps, 0u) << C.Id;
+    EXPECT_EQ(SeqStats.SuffixConvergences, 0u) << C.Id;
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      std::vector<LeakRecord> Par = R.Leaks;
+      MinimizeOptions ParOpts;
+      ParOpts.Threads = Threads;
+      ParOpts.SeedReplays = true;
+      MinimizeStats ParStats = minimizeWitnesses(M, Init, Par, ParOpts);
+      ASSERT_EQ(Par.size(), Baseline.size());
+      for (size_t I = 0; I < Par.size(); ++I) {
+        EXPECT_EQ(Par[I].key(), Baseline[I].key()) << C.Id;
+        EXPECT_EQ(Par[I].MinSched, Baseline[I].MinSched)
+            << C.Id << " leak " << I << " Threads=" << Threads;
       }
+      EXPECT_EQ(ParStats.Replays, SeqStats.Replays) << C.Id;
+      EXPECT_EQ(ParStats.RawDirectives, SeqStats.RawDirectives) << C.Id;
+      EXPECT_EQ(ParStats.MinimizedDirectives,
+                SeqStats.MinimizedDirectives)
+          << C.Id;
+      // Seeding must actually engage somewhere (witnesses of length
+      // >= one rung interval exist in every corpus).
+      EXPECT_GT(ParStats.SeededSteps + ParStats.ReplayedSteps, 0u);
+      EXPECT_LE(ParStats.ReplayedSteps, SeqStats.ReplayedSteps) << C.Id;
     }
   }
-  EXPECT_GE(Corpora, allKocher().size());
+  EXPECT_GE(Corpora, allKocher().size() + 2);
 }
 
 TEST(Minimizer, CheckpointChainsThreadThroughLeakRecords) {
