@@ -86,31 +86,19 @@ StepOutcome ok(RuleId Rule, Observation Obs = Observation::none()) {
 
 std::optional<Value> Machine::resolveReg(const Configuration &C, BufIdx I,
                                          Reg R) const {
-  const ReorderBuffer &Buf = C.Buf;
-  std::optional<Value> Res;
-  bool Found = Buf.scanReverse(
-      Buf.minIndex(), I, [&](BufIdx, const TransientInstr &T) {
-        if (!T.assignsReg(R))
-          return false;
-        switch (T.Kind) {
-        case TransientKind::ResolvedValue:
-        case TransientKind::LoadResolved:
-          Res = T.Val;
-          break;
-        case TransientKind::LoadGuessed:
-          // §3.5: a partially resolved load supplies its predicted value.
-          Res = T.Val;
-          break;
-        default:
-          // Latest assignment is unresolved: (buf +i ρ)(r) = ⊥.
-          break;
-        }
-        return true;
-      });
-  if (Found)
-    return Res;
-  // No pending assignment: fall through to the register map ρ.
-  return C.Regs.get(R);
+  const TransientInstr *T = C.Buf.lastWriter(I, R);
+  if (!T)
+    // No pending assignment: fall through to the register map ρ.
+    return C.Regs.get(R);
+  switch (T->Kind) {
+  case TransientKind::ResolvedValue:
+  case TransientKind::LoadResolved:
+  case TransientKind::LoadGuessed: // §3.5: its predicted value.
+    return T->Val;
+  default:
+    // Latest assignment is unresolved: (buf +i ρ)(r) = ⊥.
+    return std::nullopt;
+  }
 }
 
 std::optional<Value> Machine::resolveOperand(const Configuration &C, BufIdx I,
@@ -364,6 +352,7 @@ std::optional<StepOutcome> Machine::stepExecute(Configuration &C,
       BufIdx Leader = T.GroupLeader;
       T = TransientInstr::makeJump(Actual, Origin);
       T.GroupLeader = Leader;
+      C.Buf.resolveControl(I);
       return ok(RuleId::CondExecuteCorrect, Observation::jump(Leak));
     }
     // Rule cond-execute-incorrect: discard this entry and everything
@@ -392,6 +381,7 @@ std::optional<StepOutcome> Machine::stepExecute(Configuration &C,
       BufIdx Leader = T.GroupLeader;
       T = TransientInstr::makeJump(Actual, Origin);
       T.GroupLeader = Leader;
+      C.Buf.resolveControl(I);
       return ok(RuleId::JmpiExecuteCorrect, Observation::jump(Leak));
     }
     // Rule jmpi-execute-incorrect.

@@ -78,6 +78,16 @@
 /// tests/HashEquivalenceTest.cpp, and invariant 4 in docs/ARCHITECTURE.md
 /// spells out the maintenance contract.
 ///
+/// **Side indices, so per-fetch queries do not scan the window.**  Beside
+/// the fence list, the buffer keeps `Controls`, the ascending indices of
+/// the live unresolved `Branch`/`JumpI` entries (the speculation nesting
+/// depth and shadow queries read it in O(1)), and each chunk carries
+/// `Dests`, a bitmask of the registers its entries assign, so the
+/// register-resolve scan (lastWriter) skips whole chunks.  The mask may be
+/// a superset — bits of truncated or rewritten entries stay behind — but
+/// never misses an assignment.  Both are checked against full scans after
+/// every step in tests/HashEquivalenceTest.cpp (invariant 4b).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCT_CORE_REORDERBUFFER_H
@@ -231,6 +241,29 @@ public:
     return !Fences.empty() && Fences.front() < I;
   }
 
+  /// Ascending indices of the live unresolved Branch/JumpI entries.  Its
+  /// size is the current speculation nesting depth.
+  const InlineVector<BufIdx, 8> &controls() const { return Controls; }
+
+  /// True iff a live unresolved Branch/JumpI entry precedes index \p I:
+  /// \p I sits in the shadow of control flow a rollback may squash.
+  bool hasControlBefore(BufIdx I) const {
+    return !Controls.empty() && Controls.front() < I;
+  }
+
+  /// Drops \p I from the control index.  Called by the rules that rewrite
+  /// the Branch/JumpI entry at \p I into a resolved jump in place through
+  /// mut() (which cannot do it itself: a failed execute calls mut() too).
+  void resolveControl(BufIdx I) {
+    size_t N = Controls.size(), K = 0;
+    while (K < N && Controls[K] != I)
+      ++K;
+    assert(K < N && "index is not an unresolved control entry");
+    for (; K + 1 < N; ++K)
+      Controls[K] = Controls[K + 1];
+    Controls.resize(N - 1);
+  }
+
   /// Read-only access.  Never unshares a chunk.
   const TransientInstr &at(BufIdx I) const {
     assert(contains(I) && "index not live");
@@ -286,9 +319,35 @@ public:
     return false;
   }
 
+  /// The youngest live entry below index \p I that assigns register \p R,
+  /// or null: the reverse scan of Figure 3's register resolve.  Chunks
+  /// whose destination mask lacks \p R are skipped whole.
+  const TransientInstr *lastWriter(BufIdx I, Reg R) const {
+    BufIdx End = nextIndex();
+    BufIdx Hi = I < End ? I : End;
+    uint64_t Bit = destBit(R);
+    while (Hi > Base) {
+      size_t G = size_t(Hi - 1 - ChunkBase);
+      const Chunk &C = *Chunks[G >> ChunkShift].Ptr;
+      size_t S = G & ChunkMask;
+      size_t Take = S + 1;
+      if (Take > size_t(Hi - Base))
+        Take = size_t(Hi - Base);
+      if (C.Dests & Bit)
+        for (size_t T = 0; T < Take; ++T)
+          if (C.E[S - T].assignsReg(R))
+            return &C.E[S - T];
+      Hi -= Take;
+    }
+    return nullptr;
+  }
+
   /// Mutable access.  Unshares the containing chunk if another copy still
   /// holds it, and marks the slot pending: its old contribution leaves
-  /// `EntryXor` (via the memo) and the new one is folded lazily.
+  /// `EntryXor` (via the memo) and the new one is folded lazily.  A
+  /// rewrite must not make the entry assign a register it did not assign
+  /// when pushed (the chunk's destination mask would miss it), and one
+  /// that resolves a Branch/JumpI must call resolveControl().
   TransientInstr &mut(BufIdx I) {
     assert(contains(I) && "index not live");
     size_t G = size_t(I - ChunkBase);
@@ -316,13 +375,17 @@ public:
     BufIdx I = nextIndex();
     if (T.GroupLeader == 0)
       T.GroupLeader = I;
+    // Pushes ascend, so Fences and Controls stay sorted.
     if (T.is(TransientKind::Fence))
-      Fences.push_back(I); // Pushes ascend, so Fences stays sorted.
+      Fences.push_back(I);
+    else if (T.is(TransientKind::Branch) || T.is(TransientKind::JumpI))
+      Controls.push_back(I);
     if (Chunks.empty() || OpenN == ChunkCap) {
       std::shared_ptr<Chunk> P = Spare ? std::move(Spare) : newChunk();
       // Stale entries/memos in a recycled chunk are fine: a slot becomes
-      // visible only when pushed, and arrives pending.
+      // visible only when pushed, and arrives pending.  Its mask is not.
       P->First = ChunkBase + Chunks.size() * ChunkCap;
+      P->Dests = 0;
       Chunks.push_back(ChunkRef{std::move(P), 0, 0});
       OpenN = 0;
     }
@@ -330,6 +393,8 @@ public:
     if (R.Ptr.use_count() > 1)
       R.Ptr = cloneChunk(*R.Ptr, OpenN);
     size_t S = OpenN;
+    if (T.assignsAnyReg())
+      R.Ptr->Dests |= destBit(T.Dest);
     R.Ptr->E[S] = std::move(T);
     R.Pending |= uint8_t(1u << S);
     ++OpenN;
@@ -341,6 +406,8 @@ public:
     assert(!empty() && "popFront of empty buffer");
     if (!Fences.empty() && Fences.front() == Base)
       Fences.erase(Fences.begin());
+    if (!Controls.empty() && Controls.front() == Base)
+      Controls.eraseFront();
     size_t G = size_t(Base - ChunkBase);
     ChunkRef &R = Chunks.front();
     uint8_t Bit = uint8_t(1u << G);
@@ -387,6 +454,10 @@ public:
     BufIdx Cut = I < Base ? Base : I;
     while (!Fences.empty() && Fences.back() >= Cut)
       Fences.pop_back();
+    size_t NC = Controls.size();
+    while (NC && Controls[NC - 1] >= Cut)
+      --NC;
+    Controls.resize(NC);
     size_t G = size_t(Cut - ChunkBase);
     size_t K = G >> ChunkShift, Slot = G & ChunkMask;
     // Chunks wholly past the cut: subtract their folded words (pending
@@ -488,7 +559,9 @@ public:
 
   /// Bytes a copy of this buffer actually moves eagerly: the chunk-ref
   /// list and the fence list.  Shared chunk payloads are *not* counted —
-  /// that is the point.
+  /// that is the point.  The control index is left out: the explorer's
+  /// RobBytesCopied counter sums this, and a one-thread run's counters are
+  /// pinned (tests/ExplorerTest.cpp).
   size_t bytesPerCopy() const {
     return Chunks.size() * sizeof(ChunkRef) + Fences.size() * sizeof(BufIdx);
   }
@@ -517,7 +590,15 @@ private:
     std::array<TransientInstr, ChunkCap> E;
     mutable std::array<std::atomic<uint64_t>, ChunkCap> Memo{};
     BufIdx First = 0;
+    /// destBit() of every register an entry pushed here assigns (a
+    /// superset of the live slots' destinations after a truncation).
+    /// Written only by push(), which owns the chunk exclusively.
+    uint64_t Dests = 0;
   };
+
+  /// A register's bit in a chunk's destination mask (ids fold mod 64;
+  /// collisions only cost a scan of the chunk).
+  static uint64_t destBit(Reg R) { return uint64_t(1) << (R.id() & 63); }
 
   /// Per-copy view of one chunk.  Folded is the XOR of the contributions
   /// of this chunk's live *folded* slots (a partition of EntryXor).
@@ -538,6 +619,7 @@ private:
 
   void copyFrom(const ReorderBuffer &O) {
     Fences = O.Fences;
+    Controls = O.Controls;
     Chunks = O.Chunks;
     ChunkBase = O.ChunkBase;
     Base = O.Base;
@@ -561,12 +643,17 @@ private:
                            std::memory_order_relaxed);
     }
     Fresh->First = C.First;
+    Fresh->Dests = C.Dests;
     return Fresh;
   }
 
   /// Live fence indices, ascending (fences issue in order).  Almost
   /// always empty or one element.
   std::vector<BufIdx> Fences;
+  /// Live unresolved Branch/JumpI indices, ascending.  Inline capacity
+  /// covers the default branch-depth budget, so fork copies do not
+  /// allocate for it.
+  InlineVector<BufIdx, 8> Controls;
   /// Chunks, oldest first; chunk K covers indices
   /// [ChunkBase + K*ChunkCap, ChunkBase + (K+1)*ChunkCap).  The last
   /// chunk is open: only its first OpenN slots are filled.  Inline

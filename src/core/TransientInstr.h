@@ -231,10 +231,25 @@ struct TransientInstr {
   // --- Queries -------------------------------------------------------------
   bool is(TransientKind K) const { return Kind == K; }
 
+  /// True iff this entry's kind assigns its Dest register: the "(r = _)"
+  /// shapes of the register-resolve function (Figure 3 and its §3.5
+  /// extension).
+  bool assignsAnyReg() const {
+    switch (Kind) {
+    case TransientKind::Op:
+    case TransientKind::ResolvedValue:
+    case TransientKind::Load:
+    case TransientKind::LoadGuessed:
+    case TransientKind::LoadResolved:
+      return true;
+    default:
+      return false;
+    }
+  }
+
   /// True iff this entry assigns register \p R when (fully or partially)
-  /// resolved — the "(r = _)" shapes of the register-resolve function
-  /// (Figure 3 and its §3.5 extension).
-  bool assignsReg(Reg R) const;
+  /// resolved.  Inline: the register-resolve scan calls it per entry.
+  bool assignsReg(Reg R) const { return Dest == R && assignsAnyReg(); }
 
   /// True iff this is a store whose resolved address equals \p Addr — the
   /// "buf(j) = store(_, a)" premise of the load rules.

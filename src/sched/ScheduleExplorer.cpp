@@ -53,6 +53,23 @@ using namespace sct;
 
 namespace {
 
+/// The target control flow at buffer position \p K resolves to if it
+/// executes now — a conditional's true or false target (\p IsBranch), an
+/// indirect jump's evaluated address otherwise — or nullopt while an
+/// operand is unresolved.  The `Actual` of the cond-/jmpi-execute rules,
+/// computed without stepping a copy.
+std::optional<PC> controlTarget(const Machine &M, const Configuration &C,
+                                BufIdx K, bool IsBranch, Opcode Opc,
+                                std::span<const Operand> Args, PC NTrue,
+                                PC NFalse) {
+  auto Vals = M.resolveOperands(C, K, Args);
+  if (!Vals)
+    return std::nullopt;
+  if (!IsBranch)
+    return static_cast<PC>(evalAddr(*Vals, M.options()).Bits);
+  return truthy(evalOp(Opc, *Vals, M.options())) ? NTrue : NFalse;
+}
+
 /// ExportSeenStates bookkeeping: the fingerprints a path claimed, as a
 /// persistent cons-list shared between a path and everything forked from
 /// it (the Checkpoint::Prev pattern) — fork inheritance is a pointer
@@ -620,52 +637,17 @@ private:
   }
 
   /// Number of unresolved branches / indirect jumps in flight (the
-  /// current nesting depth of speculation).
-  unsigned branchDepth(const Configuration &C) const {
-    if (C.Buf.empty())
-      return 0;
-    unsigned Depth = 0;
-    C.Buf.forEachIn(C.Buf.minIndex(), C.Buf.maxIndex() + 1,
-                    [&](BufIdx, const TransientInstr &T) {
-                      if (T.Kind == TransientKind::Branch ||
-                          T.Kind == TransientKind::JumpI)
-                        ++Depth;
-                    });
-    return Depth;
-  }
-
-  /// True iff buffer entry \p S sits in the shadow of unresolved control
-  /// flow (a rollback may squash it before retirement).
-  bool inSpeculativeShadow(const Configuration &C, BufIdx S) const {
-    // Existence check — scan direction is immaterial.
-    return C.Buf.scanReverse(C.Buf.minIndex(), S,
-                             [](BufIdx, const TransientInstr &T) {
-                               return T.Kind == TransientKind::Branch ||
-                                      T.Kind == TransientKind::JumpI;
-                             });
-  }
-
-  /// Probes whether guessing true for the branch at C.N is the correct
-  /// prediction.  Returns std::nullopt when the branch cannot be executed
-  /// yet (e.g. a fence is in flight) and correctness is unknowable.
-  std::optional<bool> probeBranchCorrect(const Configuration &C) {
-    Configuration T = C;
-    BufIdx I = T.Buf.nextIndex();
-    if (!M.step(T, Directive::fetchBool(true)))
-      return std::nullopt;
-    auto Out = M.step(T, Directive::execute(I));
-    if (!Out)
-      return std::nullopt;
-    return Out->Rule == RuleId::CondExecuteCorrect;
+  /// current nesting depth of speculation): the size of the buffer's
+  /// control index, O(1) at any occupancy.
+  static unsigned branchDepth(const Configuration &C) {
+    return unsigned(C.Buf.controls().size());
   }
 
   /// Best-effort resolution of an indirect jump's target at fetch time.
   std::optional<PC> peekJumpTarget(const Configuration &C,
                                    std::span<const Operand> Args) {
-    auto Vals = M.resolveOperands(C, C.Buf.nextIndex(), Args);
-    if (!Vals)
-      return std::nullopt;
-    return static_cast<PC>(evalAddr(*Vals, M.options()).Bits);
+    return controlTarget(M, C, C.Buf.nextIndex(), /*IsBranch=*/false,
+                         Opcode::True, Args, 0, 0);
   }
 
   /// Best-effort architectural return target for a ret with an empty RSB:
@@ -913,8 +895,7 @@ private:
           // and its hazard re-execution; fork only where a rollback would
           // squash the store first (unless exhaustive forks were asked
           // for).
-          if (!Opts.ExhaustiveForwardForks &&
-              !inSpeculativeShadow(Pth.C, S))
+          if (!Opts.ExhaustiveForwardForks && !Pth.C.Buf.hasControlBefore(S))
             continue;
           Path F = forkFrom();
           if (!tryStep(F, Directive::executeAddr(S)))
@@ -957,10 +938,11 @@ private:
     }
 
     case InstrKind::Branch: {
-      std::optional<bool> TrueCorrect = probeBranchCorrect(Pth.C);
+      std::optional<bool> TrueCorrect = probeBranchCorrect(M, Pth.C);
       if (!TrueCorrect) {
-        // Condition not executable yet (fence in flight): fork both
-        // guesses unresolved; forceOldest() executes them later.
+        // Condition not executable yet (a fence in flight or an
+        // unresolved condition operand): fork both guesses unresolved;
+        // forceOldest() executes them later.
         Path F = forkFrom();
         mustStep(F, Directive::fetchBool(false));
         Forks.push_back(std::move(F));
@@ -1097,9 +1079,14 @@ private:
     if (tryStep(Pth, Directive::retire()))
       return;
 
-    // Step 2: oldest-first, try pending data work.
+    // Step 2: oldest-first, try pending data work.  A step that fails
+    // changes nothing, so when this walk ends without stepping it has
+    // also found the front-most unresolved entry, steps 2b and 3's pivot.
+    BufIdx FirstUnresolved = 0;
     for (BufIdx K = C.Buf.minIndex(); K <= C.Buf.maxIndex(); ++K) {
       const TransientInstr &T = C.Buf.at(K);
+      if (!FirstUnresolved && !T.isResolved())
+        FirstUnresolved = K;
       switch (T.Kind) {
       case TransientKind::Op:
       case TransientKind::Load:
@@ -1140,53 +1127,51 @@ private:
     // a delayed *wrong* guess already observed at its fork's sibling (the
     // immediately-resolving fall-through) and must stay unresolved to
     // keep the B.18 worst-case window open — resolving it here would
-    // also perturb step counts on fence-free programs.  The correctness
-    // pre-check mirrors probeBranchCorrect without the configuration
-    // copy.
-    {
-      bool SeenUnresolved = false;
-      for (BufIdx K = C.Buf.minIndex(); K <= C.Buf.maxIndex(); ++K) {
-        const TransientInstr &T = C.Buf.at(K);
-        if (T.isResolved())
-          continue;
-        if (!SeenUnresolved) { // Front-most: step 3's call.
-          SeenUnresolved = true;
-          continue;
-        }
-        if (!T.is(TransientKind::Branch) && !T.is(TransientKind::JumpI))
-          continue;
-        auto Args = M.resolveOperands(C, K, T.Args);
-        if (!Args)
-          continue;
-        PC Actual = T.is(TransientKind::Branch)
-                        ? (truthy(evalOp(T.Opc, *Args, M.options())) ? T.NTrue
-                                                                     : T.NFalse)
-                        : static_cast<PC>(evalAddr(*Args, M.options()).Bits);
-        if (Actual == T.N0 && tryStep(Pth, Directive::execute(K)))
-          return;
-      }
+    // also perturb step counts on fence-free programs.  The candidates
+    // are the buffer's control index minus the front-most unresolved
+    // entry (step 3's call), oldest first; the correctness pre-check is
+    // the controlTarget query probeBranchCorrect also uses.
+    const auto &Controls = C.Buf.controls();
+    for (size_t J = 0; J < Controls.size(); ++J) {
+      BufIdx K = Controls[J];
+      if (K == FirstUnresolved)
+        continue;
+      const TransientInstr &T = C.Buf.at(K);
+      std::optional<PC> Actual =
+          controlTarget(M, C, K, T.is(TransientKind::Branch), T.Opc, T.Args,
+                        T.NTrue, T.NFalse);
+      if (Actual && *Actual == T.N0 && tryStep(Pth, Directive::execute(K)))
+        return;
     }
 
-    // Step 3: force the first remaining unresolved entry (a delayed store
-    // address or speculation-delayed control flow).
-    for (BufIdx K = C.Buf.minIndex(); K <= C.Buf.maxIndex(); ++K) {
-      const TransientInstr &T = C.Buf.at(K);
-      if (T.isResolved())
-        continue;
-      bool Ok;
-      if (T.is(TransientKind::Store))
-        Ok = tryStep(Pth, Directive::executeAddr(K));
-      else
-        Ok = tryStep(Pth, Directive::execute(K));
-      assert(Ok && "first unresolved entry must be executable");
-      (void)Ok;
+    // Step 3: force the first unresolved entry (a delayed store address
+    // or speculation-delayed control flow).
+    assert(FirstUnresolved && "buffer unretirable yet fully resolved");
+    if (!FirstUnresolved)
       return;
-    }
-    assert(false && "buffer unretirable yet fully resolved");
+    bool Ok = C.Buf.at(FirstUnresolved).is(TransientKind::Store)
+                  ? tryStep(Pth, Directive::executeAddr(FirstUnresolved))
+                  : tryStep(Pth, Directive::execute(FirstUnresolved));
+    assert(Ok && "first unresolved entry must be executable");
+    (void)Ok;
   }
 };
 
 } // namespace
+
+std::optional<bool> sct::probeBranchCorrect(const Machine &M,
+                                            const Configuration &C) {
+  BufIdx Next = C.Buf.nextIndex();
+  if (C.Buf.hasFenceBefore(Next))
+    return std::nullopt;
+  const Instruction &I = M.program().at(C.N);
+  std::optional<PC> Actual =
+      controlTarget(M, C, Next, /*IsBranch=*/true, I.opcode(), I.args(),
+                    I.trueTarget(), I.falseTarget());
+  if (!Actual)
+    return std::nullopt;
+  return *Actual == I.trueTarget();
+}
 
 PC sct::leakOriginOf(const Configuration &C, const Directive &D) {
   if (D.isExecute() && C.Buf.contains(D.Idx))

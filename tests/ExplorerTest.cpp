@@ -4,7 +4,11 @@
 
 #include "checker/SctChecker.h"
 #include "isa/AsmParser.h"
+#include "sched/RandomScheduler.h"
+#include "sched/Schedule.h"
+#include "workloads/CryptoLibs.h"
 #include "workloads/Figures.h"
+#include "workloads/Kocher.h"
 #include "workloads/SpectreSuites.h"
 
 #include <gtest/gtest.h>
@@ -224,6 +228,207 @@ TEST(Explorer, SpectreV2ViaFunctionPointer) {
   // The leak is in the gadget, with the secret in the address.
   ASSERT_FALSE(R.Leaks.empty());
   EXPECT_EQ(R.Leaks.front().Origin, P.codeLabels().at("gadget"));
+}
+
+} // namespace
+
+namespace {
+
+/// The branch probe the explorer ran before probeBranchCorrect became a
+/// pure query: copy the configuration, fetch the branch guessing "true",
+/// execute it, and read the rule.  Kept here only as the query's oracle.
+std::optional<bool> copyingProbe(const Machine &M, const Configuration &C) {
+  Configuration T = C;
+  BufIdx I = T.Buf.nextIndex();
+  if (!M.step(T, Directive::fetchBool(true)))
+    return std::nullopt;
+  auto Out = M.step(T, Directive::execute(I));
+  if (!Out)
+    return std::nullopt;
+  return Out->Rule == RuleId::CondExecuteCorrect;
+}
+
+struct ProbeTally {
+  size_t Points = 0;
+  size_t Fenced = 0;
+  size_t Unresolved = 0;
+};
+
+/// Walks \p P along a seeded random schedule within \p Mode's speculation
+/// bound and, at every point where the next fetch is a conditional
+/// branch, checks the pure query against the copying oracle.
+void checkProbesAlongWalk(const Program &P, const ExplorerOptions &Mode,
+                          uint64_t Seed, ProbeTally &Tally) {
+  Machine M(P);
+  RandomRunOptions Ropts;
+  Ropts.Seed = Seed;
+  Ropts.MaxSteps = 300;
+  Ropts.SpeculationWindow = std::min<size_t>(Mode.SpeculationBound, 40);
+  RunResult Run = runRandom(M, Configuration::initial(P), Ropts);
+  Configuration C = Configuration::initial(P);
+  auto Check = [&] {
+    if (!P.contains(C.N) || P.at(C.N).kind() != InstrKind::Branch)
+      return;
+    ++Tally.Points;
+    std::optional<bool> Query = probeBranchCorrect(M, C);
+    ASSERT_EQ(Query, copyingProbe(M, C))
+        << "seed " << Seed << " at pc " << C.N;
+    if (!Query)
+      ++(C.Buf.hasFenceBefore(C.Buf.nextIndex()) ? Tally.Fenced
+                                                 : Tally.Unresolved);
+  };
+  Check();
+  for (const StepRecord &S : Run.Trace) {
+    ASSERT_TRUE(M.step(C, S.D).has_value());
+    Check();
+  }
+}
+
+// probeBranchCorrect answers, without copying the configuration, what the
+// explorer's former probe computed by stepping a copy — on every suite
+// and figure, in both checking modes, including the fence-in-flight and
+// unresolved-condition cases where both answer nullopt.
+TEST(Explorer, BranchProbeQueryMatchesCopyingProbe) {
+  std::vector<std::pair<std::string, Program>> Progs;
+  for (auto Suite : {cryptoCases, kocherCases, spectreV11Cases,
+                     spectreV4Cases})
+    for (SuiteCase &C : Suite())
+      Progs.emplace_back(C.Id, std::move(C.Prog));
+  for (FigureCase &F : allFigures())
+    Progs.emplace_back(F.Name, std::move(F.Prog));
+  // The suites carry no fences; this loop fences its bounds check.
+  Progs.emplace_back("fenced-loop", parseAsmOrDie(R"(
+    .reg ra rb
+    start:
+      fence
+      br ult ra, 4 -> body, end
+    body:
+      rb = load [0x40, ra]
+      ra = add ra, 1
+      jmp start
+    end:
+  )"));
+  ProbeTally Tally;
+  for (const auto &[Id, P] : Progs)
+    for (const ExplorerOptions &Mode : {v1v11Mode(), v4Mode()})
+      for (uint64_t Seed : {1, 2}) {
+        SCOPED_TRACE(Id);
+        checkProbesAlongWalk(P, Mode, Seed, Tally);
+      }
+  EXPECT_GT(Tally.Points, 100u);
+  EXPECT_GT(Tally.Fenced, 0u);
+  EXPECT_GT(Tally.Unresolved, 0u);
+
+  // A branch whose targets coincide is correctly predicted whatever its
+  // condition, once the condition resolves.
+  Program Same = parseAsmOrDie(R"(
+    .reg ra rb
+    .init ra 7
+    start:
+      rb = load [0x40]
+      br ult ra, 4 -> two, two
+    two:
+      br ult rb, 4 -> next, next
+    next:
+      ra = mov 0
+  )");
+  Machine M(Same);
+  Configuration C = Configuration::initial(Same);
+  ASSERT_TRUE(M.step(C, Directive::fetch()).has_value()); // rb = load
+  EXPECT_EQ(probeBranchCorrect(M, C), std::optional<bool>(true));
+  EXPECT_EQ(copyingProbe(M, C), std::optional<bool>(true));
+  ASSERT_TRUE(M.step(C, Directive::fetchBool(true)).has_value());
+  // rb's load is still unresolved: both probes cannot tell.
+  EXPECT_EQ(probeBranchCorrect(M, C), std::nullopt);
+  EXPECT_EQ(copyingProbe(M, C), std::nullopt);
+}
+
+/// FNV-1a over a string: a digest that does not depend on the library's
+/// own hashing, so it pins schedules even across fingerprint changes.
+uint64_t fnv1a(const std::string &S, uint64_t H = 0xcbf29ce484222325ull) {
+  for (unsigned char Ch : S) {
+    H ^= Ch;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+/// One pinned Table 2 exploration: the counters a single-threaded run
+/// reports, plus a digest over every leak's key and raw schedule in
+/// result order.
+struct PinnedRun {
+  const char *Id;
+  uint64_t TotalSteps;
+  uint64_t SchedulesCompleted;
+  uint64_t LeakEvents;
+  uint64_t ConfigsForked;
+  uint64_t PrunedNodes;
+  uint64_t RobBytesCopied;
+  bool Truncated;
+  size_t Leaks;
+  uint64_t LeakDigest;
+};
+
+// ARCHITECTURE.md invariant 2: one thread is bit-for-bit deterministic.
+// The Table 2 corpus (8 crypto models x {v1v11, v4}, step budget 2^20,
+// the perfbench `table2` workload) is explored at Threads = 1 and every
+// counter, leak key and witness schedule must equal the recorded values.
+// Hot-path rewrites of the machine, the reorder buffer or the explorer
+// must leave all of them unchanged; a deliberate semantic change updates
+// the table.
+TEST(Explorer, Table2CorpusIsBitForBitDeterministicAtOneThread) {
+  static const PinnedRun Pinned[] = {
+    {"donna-c/v1v11", 3174, 6, 0, 5, 0, 8192, false, 0, 0xcbf29ce484222325ull},
+    {"donna-c/v4", 2085, 5, 0, 14, 6, 2304, false, 0, 0xcbf29ce484222325ull},
+    {"donna-fact/v1v11", 845, 1, 0, 0, 0, 0, false, 0, 0xcbf29ce484222325ull},
+    {"donna-fact/v4", 935, 1, 0, 0, 0, 0, false, 0, 0xcbf29ce484222325ull},
+    {"secretbox-c/v1v11", 104, 2, 1, 1, 0, 160, false, 1,
+     0x64844043af0aecb9ull},
+    {"secretbox-c/v4", 104, 2, 1, 1, 0, 160, false, 1, 0x848874582b07ae7dull},
+    {"secretbox-fact/v1v11", 51, 1, 0, 0, 0, 0, false, 0,
+     0xcbf29ce484222325ull},
+    {"secretbox-fact/v4", 51, 1, 0, 0, 0, 0, false, 0, 0xcbf29ce484222325ull},
+    {"ssl3-c/v1v11", 709899, 7979, 1669, 72386, 64408, 11341856, false, 1,
+     0xc48b60b42ccc468dull},
+    {"ssl3-c/v4", 117012, 1528, 295, 14332, 12805, 1817312, false, 1,
+     0xc48b60b42ccc468dull},
+    {"ssl3-fact/v1v11", 66, 1, 0, 0, 0, 0, false, 0, 0xcbf29ce484222325ull},
+    {"ssl3-fact/v4", 74, 1, 1, 0, 0, 0, false, 1, 0x73ac1353ffa35b17ull},
+    {"mee-c/v1v11", 1048577, 7328, 2, 7356, 0, 9240864, true, 1,
+     0xf45be8a595956c6full},
+    {"mee-c/v4", 115402, 1480, 9, 11212, 9733, 1509504, false, 1,
+     0xf45be8a595956c6full},
+    {"mee-fact/v1v11", 60, 2, 0, 1, 0, 192, false, 0, 0xcbf29ce484222325ull},
+    {"mee-fact/v4", 90, 2, 1, 1, 0, 96, false, 1, 0x1c029ce81ae98eb7ull},
+  };
+  size_t Row = 0;
+  for (const SuiteCase &C : cryptoCases()) {
+    for (bool V4 : {false, true}) {
+      std::string Id = C.Id + (V4 ? "/v4" : "/v1v11");
+      ExplorerOptions Opts = V4 ? v4Mode() : v1v11Mode();
+      Opts.MaxTotalSteps = uint64_t(1) << 20;
+      Opts.Threads = 1;
+      ExploreResult R = exploreProgram(C.Prog, Opts);
+      uint64_t Digest = 0xcbf29ce484222325ull;
+      for (const LeakRecord &L : R.Leaks)
+        Digest = fnv1a(std::to_string(L.key()) + ":" +
+                           printSchedule(L.Sched) + ";",
+                       Digest);
+      ASSERT_LT(Row, std::size(Pinned));
+      const PinnedRun &E = Pinned[Row++];
+      EXPECT_EQ(Id, E.Id);
+      EXPECT_EQ(R.TotalSteps, E.TotalSteps) << Id;
+      EXPECT_EQ(R.SchedulesCompleted, E.SchedulesCompleted) << Id;
+      EXPECT_EQ(R.LeakEvents, E.LeakEvents) << Id;
+      EXPECT_EQ(R.ConfigsForked, E.ConfigsForked) << Id;
+      EXPECT_EQ(R.PrunedNodes, E.PrunedNodes) << Id;
+      EXPECT_EQ(R.RobBytesCopied, E.RobBytesCopied) << Id;
+      EXPECT_EQ(R.Truncated, E.Truncated) << Id;
+      EXPECT_EQ(R.Leaks.size(), E.Leaks) << Id;
+      EXPECT_EQ(Digest, E.LeakDigest) << Id;
+    }
+  }
+  EXPECT_EQ(Row, std::size(Pinned));
 }
 
 } // namespace

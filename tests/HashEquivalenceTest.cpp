@@ -18,6 +18,8 @@
 //     copy) preserves both sides' fingerprints;
 //   - the remap-aware hash under an identity remap equals the plain hash
 //     (the full-walk fallback path used by mitigation re-check reuse);
+//   - the reorder buffer's control index and chunk destination masks
+//     answer exactly what full scans answer, across forks and rollbacks;
 //   - the flat copy-on-write memory agrees with a reference map oracle on
 //     every load, and is canonical: store order and default-valued cells
 //     do not affect equality or the fingerprint.
@@ -317,6 +319,92 @@ TEST_P(HashEquivalence, ChunkUnshareOnMutateKeepsForksOracleEqual) {
         << "fork A diverged; seed " << Seed << " step " << Step;
     ASSERT_EQ(B.hash(), B.hashFromScratch())
         << "fork B diverged; seed " << Seed << " step " << Step;
+  }
+}
+
+// The reorder buffer's side indices (ARCHITECTURE.md invariant 4b) obey
+// the same contract as its fingerprint: the control index must equal a
+// full scan of the live Branch/JumpI entries, and the chunk-skipping
+// lastWriter() must return exactly what the plain reverse scan of Figure
+// 3's register resolve finds, for every register at every live index.
+// Checked after every step of seeded random walks over random programs
+// with loops and indirect jumps, where the walk forks (configuration
+// copies that share chunks and then diverge), mispredicts and rolls back,
+// retires, and drains the buffer empty.
+void expectSideIndicesMatchScan(const Configuration &C, unsigned NumRegs,
+                                uint64_t Seed, size_t Step) {
+  const ReorderBuffer &B = C.Buf;
+  std::vector<BufIdx> Scan;
+  B.forEachIn(0, B.nextIndex(), [&](BufIdx I, const TransientInstr &T) {
+    if (T.is(TransientKind::Branch) || T.is(TransientKind::JumpI))
+      Scan.push_back(I);
+  });
+  std::vector<BufIdx> Index(B.controls().begin(), B.controls().end());
+  ASSERT_EQ(Index, Scan) << "control index diverged; seed " << Seed
+                         << " step " << Step;
+  if (B.empty())
+    return;
+  for (BufIdx I = B.minIndex(); I <= B.nextIndex(); ++I)
+    for (unsigned Id = 0; Id < NumRegs; ++Id) {
+      Reg R(static_cast<uint16_t>(Id));
+      const TransientInstr *Oracle = nullptr;
+      B.scanReverse(0, I, [&](BufIdx, const TransientInstr &T) {
+        if (!T.assignsReg(R))
+          return false;
+        Oracle = &T;
+        return true;
+      });
+      ASSERT_EQ(B.lastWriter(I, R), Oracle)
+          << "last writer of r" << Id << " below " << I
+          << " diverged; seed " << Seed << " step " << Step;
+    }
+}
+
+TEST_P(HashEquivalence, SideIndicesMatchFullScansAcrossForksAndRollbacks) {
+  uint64_t Seed = GetParam();
+  RandomProgramOptions POpts;
+  POpts.WithJumpI = (Seed % 2 == 0);
+  POpts.WithLoops = (Seed % 3 != 0);
+  Program P = randomProgram(Seed, POpts);
+  ASSERT_TRUE(P.validate().empty());
+  Machine M(P);
+  std::mt19937_64 Rng(Seed * 0x9e3779b97f4a7c15ull + 3);
+
+  // A small pool of live walks; forks copy one into a random slot.
+  std::vector<Configuration> Pool{Configuration::initial(P)};
+  std::vector<bool> Draining{false};
+  for (size_t Step = 1; Step <= 400; ++Step) {
+    size_t W = Rng() % Pool.size();
+    if (Rng() % 8 == 0) {
+      if (Pool.size() < 4) {
+        Pool.push_back(Pool[W]);
+        Draining.push_back(false);
+      } else {
+        size_t To = Rng() % Pool.size();
+        Pool[To] = Pool[W];
+        Draining[To] = false;
+      }
+      continue;
+    }
+    Configuration &C = Pool[W];
+    // Now and then a walk stops fetching until its buffer is empty.
+    if (C.Buf.empty())
+      Draining[W] = false;
+    else if (Rng() % 32 == 0)
+      Draining[W] = true;
+    std::vector<Directive> Choices;
+    for (const Directive &D : M.applicableDirectives(C))
+      if (!(D.isFetch() && (Draining[W] || C.Buf.size() >= 24)) &&
+          D.K != Directive::Kind::ExecuteFwd)
+        Choices.push_back(D);
+    if (Choices.empty()) {
+      Pool[W] = Configuration::initial(P); // Finished or stalled: restart.
+      Draining[W] = false;
+      continue;
+    }
+    ASSERT_TRUE(M.step(C, Choices[Rng() % Choices.size()]).has_value());
+    for (const Configuration &Live : Pool)
+      expectSideIndicesMatchScan(Live, P.numRegs(), Seed, Step);
   }
 }
 
