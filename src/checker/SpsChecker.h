@@ -26,9 +26,8 @@
 /// beyond its end read as 0, "predict correctly"), observe how many
 /// oracle consults the run made, and branch a child tape per consult
 /// position not yet pinned.  Fenced programs collapse almost immediately
-/// — an excursion that hits a fence stops consulting — which is exactly
-/// why kocher-05's fenced tree is seconds here and 8M steps for the
-/// explorer.
+/// — an excursion that hits a fence stops consulting — so fenced
+/// kocher-05 proves in 32 tapes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -135,11 +135,11 @@ struct MitigationOptions {
   bool MinimizeBaselineWitnesses = true;
   /// Verify each mitigated variant with the SPS proof backend
   /// (checker/SpsChecker.h) before falling back to re-exploration: a
-  /// proof settles "restored SCT" outright — including on programs whose
-  /// mitigated schedule tree the explorer cannot finish (kocher-05
-  /// fenced) — and a refutation yields source-level counterexamples the
-  /// per-leak closure verdicts key on.  Inconclusive runs fall through
-  /// to the ordinary diff-driven re-check transparently.
+  /// proof settles "restored SCT" outright, without walking the
+  /// mitigated schedule tree, and a refutation yields source-level
+  /// counterexamples the per-leak closure verdicts key on.  Inconclusive
+  /// runs fall through to the ordinary diff-driven re-check
+  /// transparently.
   bool ProveSpsRecheck = false;
   SpsOptions Sps;
 };
@@ -158,8 +158,8 @@ struct FencePlacementOptions {
   bool WitnessSeed = true;
   /// Verify candidate fence sets with the SPS proof backend (conclusive
   /// verdicts skip the candidate's re-exploration entirely; see
-  /// MitigationOptions::ProveSpsRecheck).  This is what makes minimal
-  /// placement tractable on explorer-intractable cases.
+  /// MitigationOptions::ProveSpsRecheck), so a candidate whose walk
+  /// would run to the step budget is still decided.
   bool ProveSps = false;
   SpsOptions Sps;
   /// Forwarded to FenceInsertion (jump-table relocation).

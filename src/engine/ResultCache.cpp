@@ -137,6 +137,11 @@ ResultCache::lookupResult(const CheckRequest &Req,
 bool ResultCache::storeResult(const CheckRequest &Req,
                               const PassConfig &Passes,
                               const CheckResult &Res) const {
+  // The key normalises Threads away, but where a budget cuts a walk
+  // short depends on the drain order: a truncated result is one only its
+  // own thread count produces, unless a conclusive proof decided it.
+  if (Res.Exploration.Truncated && !(Res.Sps && Res.Sps->conclusive()))
+    return false;
   std::optional<Key> K = keyFor(Req, Passes);
   if (!K)
     return false;

@@ -22,13 +22,16 @@
 /// `tmp-<pid>-...` sibling and `rename`d into place, so concurrent
 /// sessions sharing a cache directory see complete entries or none.
 ///
-/// **What is cacheable.**  Exactly the `wireable()` requests: a custom
-/// initial configuration or a cross-exploration table handle (Reuse /
-/// ExportSeenStates) makes a check's outcome depend on state the key
-/// cannot see, so those requests bypass the cache wholesale.  The dual
-/// obligation — every behavior-affecting *option* must be in the
-/// fingerprint — is the cache-key completeness invariant documented in
-/// docs/ARCHITECTURE.md.
+/// **What is cacheable.**  The results of `wireable()` requests, unless
+/// truncated.  A custom initial configuration or a cross-exploration
+/// table handle (Reuse / ExportSeenStates) makes a check's outcome depend
+/// on state the key cannot see, so those requests bypass the cache
+/// wholesale.  A budget-truncated result is not stored either (unless a
+/// conclusive SPS verdict decided it): the key normalises `Threads` away,
+/// and where a budget cuts a walk depends on the drain order, so another
+/// thread count would produce a different result.  The dual obligation —
+/// every behavior-affecting *option* must be in the fingerprint — is the
+/// cache-key completeness invariant documented in docs/ARCHITECTURE.md.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +79,8 @@ public:
   bool store(const Key &K, const CheckResult &Res) const;
 
   /// Conveniences fusing keyFor with lookup/store; no-ops (miss / false)
-  /// on uncacheable requests.
+  /// on uncacheable requests and, for storeResult, on truncated results
+  /// without a conclusive SPS verdict.
   std::optional<CheckResult> lookupResult(const CheckRequest &Req,
                                           const PassConfig &Passes) const;
   bool storeResult(const CheckRequest &Req, const PassConfig &Passes,

@@ -698,8 +698,13 @@ private:
         return;
       }
 
-      bool CanFetch =
-          Pth.C.Buf.size() < Opts.SpeculationBound && P.contains(Pth.C.N);
+      // Nothing younger than an in-flight fence can execute, and the fence
+      // retires only after everything older, so fetch waits for it: the
+      // path drains through forceOldest until the fence retires or an
+      // older rollback squashes it (docs/ARCHITECTURE.md, lemma 4c).
+      bool CanFetch = Pth.C.Buf.size() < Opts.SpeculationBound &&
+                      P.contains(Pth.C.N) &&
+                      !Pth.C.Buf.hasFenceBefore(Pth.C.Buf.nextIndex());
       if (!CanFetch && Pth.C.Buf.empty()) {
         // Nothing to fetch and nothing in flight to force (only reachable
         // at SpeculationBound 0): this schedule cannot make progress.
@@ -849,6 +854,53 @@ private:
       return F;
     };
 
+    /// Store-forwarding forks (§4.1) at the load or fence just fetched at
+    /// index Next: for every earlier store with an unresolved address,
+    /// one schedule resolves exactly that store's address first —
+    /// Pitchfork's [execute s_i : addr; execute l] schedules.  The
+    /// fall-through resolves nothing (the "none resolved" schedule: a
+    /// load's memory read may be stale, Spectre v4).  A load's fork also
+    /// executes the load and is kept only if that store forwarded to it.
+    /// A fence's fork keeps the resolution alone: the loads behind the
+    /// fence that would open it are fetched only once the fence retired,
+    /// and the store with it (lemma 4c).  Returns false iff the walk was
+    /// stopped.
+    auto storeAddrForks = [&](bool IsLoad) {
+      for (BufIdx S = Pth.C.Buf.minIndex(); S < Next; ++S) {
+        const TransientInstr &St = Pth.C.Buf.at(S);
+        if (!St.is(TransientKind::Store) || St.StoreAddrIsResolved)
+          continue;
+        // Architectural-path stores are covered by forced resolution and
+        // its hazard re-execution; fork only where a rollback would
+        // squash the store first (unless exhaustive forks were asked
+        // for).
+        if (!Opts.ExhaustiveForwardForks && !Pth.C.Buf.hasControlBefore(S))
+          continue;
+        Path F = forkFrom();
+        if (!tryStep(F, Directive::executeAddr(S)))
+          continue;
+        if (F.Dead) {
+          Forks.push_back(std::move(F)); // Culled by the fork filter.
+          continue;
+        }
+        if (IsLoad && tryStep(F, Directive::execute(Next))) {
+          // Keep the fork only if this store actually forwarded; other
+          // outcomes coincide with the fall-through schedule.
+          const ReorderBuffer &B2 = F.C.Buf;
+          if (!B2.contains(Next) ||
+              !B2.at(Next).is(TransientKind::LoadResolved) ||
+              !(B2.at(Next).Dep && *B2.at(Next).Dep == S)) {
+            flushSteps(F); // Probing steps count even when discarded.
+            continue;
+          }
+        }
+        Forks.push_back(std::move(F));
+        if (stopped())
+          return false;
+      }
+      return true;
+    };
+
     switch (I.kind()) {
     case InstrKind::Op:
       mustStep(Pth, Directive::fetch());
@@ -857,7 +909,8 @@ private:
 
     case InstrKind::Fence:
       mustStep(Pth, Directive::fetch());
-      return true;
+      return !Opts.ExploreForwardingHazards ||
+             storeAddrForks(/*IsLoad=*/false);
 
     case InstrKind::Load: {
       mustStep(Pth, Directive::fetch());
@@ -880,47 +933,8 @@ private:
         }
       }
 
-      // Store-forwarding forks (§4.1): for every earlier store with an
-      // unresolved address, one schedule resolves exactly that store's
-      // address before this load executes — Pitchfork's
-      // [execute s_i : addr; execute l] schedules.  The fall-through
-      // schedule executes the load with no extra resolution (the "none
-      // resolved" schedule: memory reads may be stale, Spectre v4).
-      if (Opts.ExploreForwardingHazards && !Pth.C.Buf.empty()) {
-        for (BufIdx S = Pth.C.Buf.minIndex(); S < Next; ++S) {
-          const TransientInstr &St = Pth.C.Buf.at(S);
-          if (!St.is(TransientKind::Store) || St.StoreAddrIsResolved)
-            continue;
-          // Architectural-path stores are covered by forced resolution
-          // and its hazard re-execution; fork only where a rollback would
-          // squash the store first (unless exhaustive forks were asked
-          // for).
-          if (!Opts.ExhaustiveForwardForks && !Pth.C.Buf.hasControlBefore(S))
-            continue;
-          Path F = forkFrom();
-          if (!tryStep(F, Directive::executeAddr(S)))
-            continue;
-          if (F.Dead) {
-            Forks.push_back(std::move(F)); // Culled by the fork filter.
-            continue;
-          }
-          if (tryStep(F, Directive::execute(Next))) {
-            // Keep the fork only if this store actually forwarded; other
-            // outcomes coincide with the fall-through schedule.
-            const ReorderBuffer &B2 = F.C.Buf;
-            if (!B2.contains(Next) ||
-                !B2.at(Next).is(TransientKind::LoadResolved) ||
-                !(B2.at(Next).Dep && *B2.at(Next).Dep == S)) {
-              flushSteps(F); // Probing steps count even when discarded.
-              continue;
-            }
-          }
-          Forks.push_back(std::move(F));
-          if (stopped())
-            return false;
-        }
-      }
-
+      if (Opts.ExploreForwardingHazards && !storeAddrForks(/*IsLoad=*/true))
+        return false;
       tryStep(Pth, Directive::execute(Next));
       return true;
     }
@@ -938,11 +952,13 @@ private:
     }
 
     case InstrKind::Branch: {
+      assert(!Pth.C.Buf.hasFenceBefore(Next) &&
+             "fetch waits for in-flight fences");
       std::optional<bool> TrueCorrect = probeBranchCorrect(M, Pth.C);
       if (!TrueCorrect) {
-        // Condition not executable yet (a fence in flight or an
-        // unresolved condition operand): fork both guesses unresolved;
-        // forceOldest() executes them later.
+        // A condition operand is unresolved: fork both guesses
+        // unresolved; forceOldest() executes them once it resolves (the
+        // correct one in step 2b, the front-most in step 3).
         Path F = forkFrom();
         mustStep(F, Directive::fetchBool(false));
         Forks.push_back(std::move(F));
@@ -1064,12 +1080,12 @@ private:
     return true;
   }
 
-  /// Phase B: the buffer is full (or nothing is fetchable).  In order:
+  /// Phase B: the buffer is full, a fence is in flight, or nothing is
+  /// fetchable.  In order:
   ///  1. retire the oldest entry if it is ready;
   ///  2. execute any pending *data* instruction (ops, loads, store
-  ///     values) — entries that were blocked by a fence become executable
-  ///     once it retires, and wrong-path work keeps running while delayed
-  ///     control flow stays unresolved (maximal speculation, §4.1);
+  ///     values) — wrong-path work keeps running while delayed control
+  ///     flow stays unresolved (maximal speculation, §4.1);
   ///  3. only then force the front-most delayed decision: a store's
   ///     address (possibly raising a forwarding hazard) or a mispredicted
   ///     branch / indirect jump (rolling back).
@@ -1099,12 +1115,12 @@ private:
             tryStep(Pth, Directive::executeValue(K)))
           return;
         // Without hazard exploration, store addresses resolve eagerly at
-        // fetch — but a fence in flight defeats the eager step, and a
-        // younger load executing first would then bypass the store (a
-        // forwarding hazard in the mode that excludes them; the SPS
-        // differential fuzz suite caught a wild transient return through
-        // exactly this gap).  Restore the eager policy here, before any
-        // younger load runs: the loop is oldest-first.
+        // fetch.  Where that eager step failed, a younger load executing
+        // first would bypass the store (a forwarding hazard in the mode
+        // that excludes them; the SPS differential fuzz suite caught a
+        // wild transient return through exactly this gap).  Restore the
+        // eager policy here, before any younger load runs: the loop is
+        // oldest-first.
         if (!Opts.ExploreForwardingHazards && !T.StoreAddrIsResolved &&
             tryStep(Pth, Directive::executeAddr(K)))
           return;
@@ -1116,21 +1132,21 @@ private:
         break;
     }
 
-    // Step 2b: nested *correctly-guessed* control whose eager resolution
-    // a fence blocked at fetch time.  A branch's execute IS its jump
-    // observation — if only the front-most unresolved entry were ever
-    // forced (step 3), a fence-window branch whose condition turned
-    // secret on a wrong path would be squashed unobserved, hiding a leak
-    // the semantics admit (the SPS differential fuzz suite found exactly
-    // this shape: fence; mispredicted branch; wrong-path secret load;
-    // nested branch on the loaded value).  Restricted to correct guesses:
-    // a delayed *wrong* guess already observed at its fork's sibling (the
-    // immediately-resolving fall-through) and must stay unresolved to
-    // keep the B.18 worst-case window open — resolving it here would
-    // also perturb step counts on fence-free programs.  The candidates
-    // are the buffer's control index minus the front-most unresolved
-    // entry (step 3's call), oldest first; the correctness pre-check is
-    // the controlTarget query probeBranchCorrect also uses.
+    // Step 2b: nested *correctly-guessed* control fetched while its
+    // condition or target operand was unresolved, whose operand has
+    // resolved since.  A branch's execute IS its jump observation — if
+    // only the front-most unresolved entry were ever forced (step 3), a
+    // nested branch whose condition turned secret on a wrong path would
+    // be squashed unobserved, hiding a leak the semantics admit (the SPS
+    // differential fuzz suite found this shape: mispredicted branch;
+    // wrong-path secret load; nested branch on the loaded value).  The
+    // fence-free Table 2 walks depend on this step too.  Restricted to
+    // correct guesses: a delayed *wrong* guess already observed at its
+    // fork's sibling (the immediately-resolving fall-through) and must
+    // stay unresolved to keep the B.18 worst-case window open.  The
+    // candidates are the buffer's control index minus the front-most
+    // unresolved entry (step 3's call), oldest first; the correctness
+    // pre-check is the controlTarget query probeBranchCorrect also uses.
     const auto &Controls = C.Buf.controls();
     for (size_t J = 0; J < Controls.size(); ++J) {
       BufIdx K = Controls[J];
@@ -1161,13 +1177,10 @@ private:
 
 std::optional<bool> sct::probeBranchCorrect(const Machine &M,
                                             const Configuration &C) {
-  BufIdx Next = C.Buf.nextIndex();
-  if (C.Buf.hasFenceBefore(Next))
-    return std::nullopt;
   const Instruction &I = M.program().at(C.N);
   std::optional<PC> Actual =
-      controlTarget(M, C, Next, /*IsBranch=*/true, I.opcode(), I.args(),
-                    I.trueTarget(), I.falseTarget());
+      controlTarget(M, C, C.Buf.nextIndex(), /*IsBranch=*/true, I.opcode(),
+                    I.args(), I.trueTarget(), I.falseTarget());
   if (!Actual)
     return std::nullopt;
   return *Actual == I.trueTarget();

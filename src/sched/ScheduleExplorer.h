@@ -275,9 +275,10 @@ PC leakOriginOf(const Configuration &C, const Directive &D);
 
 /// Whether fetching the conditional branch at `C.N` with guess "true" and
 /// executing it at once would take the cond-execute-correct rule — the
-/// explorer's per-branch-fetch prediction query.  nullopt when it could
-/// not execute yet: a fence is in flight or a condition operand is
-/// unresolved.  A pure query over \p C: it copies and steps nothing.
+/// explorer's per-branch-fetch prediction query.  nullopt while a
+/// condition operand is unresolved.  Requires no fence in flight (the
+/// explorer never fetches past one, and an execute behind it would
+/// fail).  A pure query over \p C: it copies and steps nothing.
 std::optional<bool> probeBranchCorrect(const Machine &M,
                                        const Configuration &C);
 

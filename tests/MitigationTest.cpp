@@ -4,8 +4,8 @@
 //  - remap-aware hashing is in lockstep with the plain hash (identity
 //    remap == no remap);
 //  - before/after leak sets are byte-identical with and without
-//    seen-state reuse on every Kocher/mee/ssl3 case — reuse changes step
-//    counts, never verdicts;
+//    seen-state reuse on every Kocher and crypto case — reuse changes
+//    step counts, never verdicts;
 //  - per-leak closure and the witness-replay pre-pass agree with ground
 //    truth (identity transform leaves every leak open and replayable;
 //    blanket fences close them);
@@ -21,7 +21,6 @@
 
 #include "checker/Retpoline.h"
 #include "checker/SctChecker.h"
-#include "checker/SpsChecker.h"
 #include "workloads/CryptoLibs.h"
 #include "workloads/Figures.h"
 #include "workloads/Kocher.h"
@@ -88,10 +87,9 @@ TEST(RemappedHash, IdentityRemapMatchesPlainHash) {
 
 TEST(MitigationSession, ReuseNeverChangesVerdicts) {
   // The acceptance bar: before/after leak sets byte-identical with and
-  // without seen-state reuse on every Kocher / mee / ssl3 case.
-  // (Minimization/replay off: they are orthogonal to leak-set identity,
-  // and the v1v11 fenced crypto trees are minutes-deep — the crypto
-  // cases run in the v4 mode that flags them.)
+  // without seen-state reuse on every Kocher case and every crypto case
+  // in both modes.  (Minimization/replay off: they are orthogonal to
+  // leak-set identity.)
   MitigationSession With = makeSession(true, 1, /*Minimize=*/false);
   MitigationSession Without = makeSession(false, 1, /*Minimize=*/false);
 
@@ -103,6 +101,8 @@ TEST(MitigationSession, ReuseNeverChangesVerdicts) {
   std::vector<Case> Cases;
   for (const SuiteCase &C : kocherCases())
     Cases.push_back({C, v1v11Mode(), FencePolicy::BranchTargets});
+  for (const SuiteCase &C : cryptoCases())
+    Cases.push_back({C, v1v11Mode(), FencePolicy::BranchTargetsAndStores});
   for (const SuiteCase &C : {meeC(), meeFact(), ssl3C(), ssl3Fact()})
     Cases.push_back({C, v4Mode(), FencePolicy::BranchTargetsAndStores});
 
@@ -172,9 +172,7 @@ TEST(MitigationSession, IdentityTransformLeavesLeaksOpenAndReplayable) {
 
 TEST(MitigationSession, BlanketFencesCloseKocherLeaks) {
   // The SPS re-check proves fenced variants leak-free without walking
-  // their schedule trees — which is what lets kocher-05 run here: its
-  // fenced tree alone used to eat the 8M-step budget (~1 min), and the
-  // proof settles it in milliseconds.
+  // their schedule trees.
   MitigationSession MS = makeSession(true, 1, true, /*ProveSps=*/true);
   unsigned Checked = 0;
   for (const SuiteCase &C : kocherCases()) {
@@ -193,12 +191,9 @@ TEST(MitigationSession, BlanketFencesCloseKocherLeaks) {
     // Cost is reported: fences were added, the sequential schedule grew.
     EXPECT_GT(V.Cost.FencesAdded, 0u) << C.Id;
     EXPECT_GE(V.SeqSteps, Rep.SeqStepsBaseline) << C.Id;
-    if (C.Id == "kocher-05") {
-      // The explorer-intractable case really was settled by the proof,
-      // not by a budget-truncated walk.
-      ASSERT_TRUE(V.After.Sps.has_value()) << C.Id;
-      EXPECT_TRUE(V.After.Sps->proved()) << C.Id;
-    }
+    // The re-check really was settled by the proof, not by a walk.
+    ASSERT_TRUE(V.After.Sps.has_value()) << C.Id;
+    EXPECT_TRUE(V.After.Sps->proved()) << C.Id;
   }
 }
 
@@ -241,14 +236,12 @@ TEST(MitigationSession, SpsRecheckAgreesWithReuseCertificateSweep) {
   // independent verifiers of the same mitigated programs: one diff-driven
   // re-exploration with seen-state pruning, one tape-tree proof.  Sweep
   // the fence-fixable corpus through both and assert every verdict —
-  // restored-SCT and each per-leak closure flag — agrees.  (kocher-05 is
-  // the one case the explorer side cannot finish; the SPS side still must
-  // prove it, which BlanketFencesCloseKocherLeaks pins above.)
+  // restored-SCT and each per-leak closure flag — agrees.
   MitigationSession Sps = makeSession(true, 1, true, /*ProveSps=*/true);
   MitigationSession Explored = makeSession(true);
   unsigned Compared = 0;
   for (const SuiteCase &C : kocherCases()) {
-    if (C.ExpectSeqLeak || !C.ExpectV1V11Leak || C.Id == "kocher-05")
+    if (C.ExpectSeqLeak || !C.ExpectV1V11Leak)
       continue;
     FenceInsertion FI(FencePolicy::BranchTargets);
     MitigationReport A = Sps.run(C.Prog, v1v11Mode(), FI);
@@ -284,9 +277,7 @@ TEST(MitigationSession, MinimalFencePlacementBeatsBlanket) {
     FencePlacementOptions FOpts;
     FOpts.Blanket = FencePolicy::BranchTargets;
     // SPS-verified candidates: a conclusive proof (or first
-    // counterexample) replaces each candidate's re-exploration.  This is
-    // what admits kocher-05, where every fenced candidate used to replay
-    // an 8M-step budget-truncated tree (~1 min per check).
+    // counterexample) replaces each candidate's re-exploration.
     FOpts.ProveSps = true;
     FencePlacementResult R =
         MS.minimizeFencePlacement(C.Prog, v1v11Mode(), FOpts);
@@ -296,23 +287,13 @@ TEST(MitigationSession, MinimalFencePlacementBeatsBlanket) {
     EXPECT_LE(R.Sites.size(), R.BlanketSites) << C.Id;
     StrictlyFewer += R.Sites.size() < R.BlanketSites;
 
-    // Independent verification: rebuild the fenced program and check it
-    // from scratch, no reuse anywhere.  kocher-05's minimal-fence tree is
-    // the explorer-intractable one — there the fresh check is the other
-    // oracle, a full (non-early-exit) SPS proof.
+    // Independent verification: rebuild the fenced program and walk it
+    // from scratch, no reuse and no proof anywhere.
     MitigationResult MR = FenceInsertion(R.Sites).run(C.Prog);
     ASSERT_TRUE(MR.ok()) << C.Id;
-    if (C.Id == "kocher-05") {
-      SpsOptions SOpts;
-      SOpts.DepthToWindow = true; // Proof strength, not explorer parity.
-      SpsReport Fresh = checkSps(MR.Prog, v1v11Mode(), {}, SOpts);
-      ASSERT_TRUE(Fresh.conclusive()) << C.Id << ": " << Fresh.Reason;
-      EXPECT_TRUE(Fresh.proved()) << C.Id << " minimal set "
-                                  << R.Sites.size();
-    } else {
-      SctReport Fresh = checkSct(MR.Prog, v1v11Mode());
-      EXPECT_TRUE(Fresh.secure()) << C.Id << " minimal set " << R.Sites.size();
-    }
+    SctReport Fresh = checkSct(MR.Prog, v1v11Mode());
+    EXPECT_FALSE(Fresh.Exploration.Truncated) << C.Id;
+    EXPECT_TRUE(Fresh.secure()) << C.Id << " minimal set " << R.Sites.size();
   }
   ASSERT_GT(Leaky, 0u);
   EXPECT_GE(StrictlyFewer * 2, Leaky)

@@ -16,6 +16,7 @@
 #include "engine/ResultCache.h"
 #include "engine/Serialization.h"
 #include "checker/SctChecker.h"
+#include "workloads/CryptoLibs.h"
 #include "workloads/Kocher.h"
 
 #include "RandomProgram.h"
@@ -521,6 +522,48 @@ TEST(ResultCacheTest, CorruptedAndTruncatedEntriesAreMisses) {
   std::string BadDir = EntryPath; // A file, not a directory.
   ResultCache Bad(BadDir + "/sub");
   EXPECT_FALSE(Bad.ok());
+}
+
+TEST(ResultCacheTest, TruncatedResultIsNotServedToAnotherThreadCount) {
+  // The key normalises Threads away, but a budget-truncated walk's
+  // counters depend on the drain order: a T=1 truncated result served to
+  // a T=4 request would be one no T=4 run produces.  Such results are
+  // not stored; complete ones still are.
+  CacheDirGuard Dir;
+  SessionOptions SOpts;
+  SOpts.CacheDir = Dir.path();
+  SuiteCase C = meeC();
+  CheckRequest One;
+  One.Id = C.Id;
+  One.Prog = C.Prog;
+  One.Opts = v1v11Mode();
+  One.Opts.MaxTotalSteps = 1u << 14; // mee-c v1v11 runs far past this.
+  One.Opts.Threads = 1;
+  CheckRequest Four = One;
+  Four.Opts.Threads = 4;
+  PassConfig Passes;
+  ASSERT_EQ(ResultCache::keyFor(One, Passes)->OptsFp,
+            ResultCache::keyFor(Four, Passes)->OptsFp);
+
+  CheckSession Cold(SOpts);
+  CheckResult R1 = Cold.check(One);
+  ASSERT_TRUE(R1.Exploration.Truncated);
+  EXPECT_EQ(Cold.cache()->stores(), 0u);
+
+  CheckSession Warm(SOpts);
+  CheckResult R4 = Warm.check(Four);
+  EXPECT_FALSE(R4.FromCache);
+  EXPECT_TRUE(R4.Exploration.Truncated);
+  EXPECT_EQ(Warm.cache()->hits(), 0u);
+
+  // A complete result is still cached.
+  CheckRequest Small;
+  Small.Id = "kocher-01";
+  Small.Prog = kocherCases().front().Prog;
+  Small.Opts = v1v11Mode();
+  CheckResult RS = Warm.check(Small);
+  ASSERT_FALSE(RS.Exploration.Truncated);
+  EXPECT_EQ(Warm.cache()->stores(), 1u);
 }
 
 TEST(ResultCacheTest, CheckManyWarmPassIsAllHits) {

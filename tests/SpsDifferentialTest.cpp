@@ -117,14 +117,17 @@ TEST(SpsBackend, ArchitecturalSecretBranchIsNonSpeculativeCounterExample) {
 }
 
 TEST(SpsBackend, FenceShadowedNestedBranchAgreesBothWays) {
-  // Regression for an explorer gap this differential suite caught: with
-  // an architectural fence in flight, wrong-path branches fetch
-  // unresolved (probeBranchCorrect cannot run), and forcing only the
+  // Regression for an explorer gap this differential suite caught while
+  // fetch still ran past an in-flight fence: the wrong-path branches
+  // fetched behind it came in unresolved, and forcing only the
   // front-most unresolved entry squashed a nested branch — whose
   // condition had turned secret via a wrong-path load — before its jump
-  // observation ever happened.  SPS reported the leak; the explorer
-  // missed it until forceOldest learned to resolve nested
-  // correctly-guessed control first.
+  // observation ever happened.  SPS reported the leak; forceOldest's
+  // step 2b (resolve nested correctly-guessed control first) closed the
+  // gap.  Fetch now waits for the fence to retire, so both branches are
+  // fetched with resolved conditions and the nested one executes at its
+  // fetch; step 2b still serves control whose operand is unresolved at
+  // fetch.  Both oracles must keep seeing the leak at pc 3.
   Program P = parseAsmOrDie(R"(
     .reg ra rb
     .init ra 0
